@@ -33,6 +33,35 @@ fn solvers_on_random_3sat(c: &mut Criterion) {
     group.finish();
 }
 
+/// CDCL where clause-database management matters: a fixed seeded set of
+/// random 3-SAT at n=150 on both sides of the α≈4.26 threshold. Each
+/// iteration solves the whole set for one α, through the unified API like
+/// the n=10 group; instances this size learn thousands of clauses, so the
+/// scheduled LBD reduction, minimization and the watch scheme all show up
+/// in the time.
+fn cdcl_on_random_3sat_n150(c: &mut Criterion) {
+    let registry = BackendRegistry::default();
+    let mut group = c.benchmark_group("baseline_random3sat_n150");
+    group.sample_size(10);
+    for alpha in [3.8, 4.26, 4.6] {
+        let formulas: Vec<_> = (0..4u64)
+            .map(|seed| {
+                let config = RandomKSatConfig::from_ratio(150, alpha, 3).with_seed(seed + 150);
+                generators::random_ksat(&config).unwrap()
+            })
+            .collect();
+        group.bench_function(format!("cdcl_alpha{alpha}"), |b| {
+            b.iter(|| {
+                for formula in &formulas {
+                    let outcome = registry.solve("cdcl", &SolveRequest::new(formula)).unwrap();
+                    assert!(outcome.verdict.is_definitive());
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Sequential vs. thread-racing vs. cooperative portfolio on a workload
 /// where racing pays: a satisfiable instance local search wins quickly, and
 /// an UNSAT refutation only CDCL can finish. The sequential portfolio pays
@@ -135,6 +164,7 @@ fn solvers_on_pigeonhole(c: &mut Criterion) {
 criterion_group!(
     benches,
     solvers_on_random_3sat,
+    cdcl_on_random_3sat_n150,
     solvers_on_pigeonhole,
     sequential_vs_parallel_portfolio,
     share_pool_lock_layouts

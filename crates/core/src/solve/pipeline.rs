@@ -253,16 +253,38 @@ impl SolvePipeline {
         }
     }
 
+    /// [`Self::complete_with`] for an answer from a complete backend, whose
+    /// UNSAT verdicts are cacheable. Callers that dispatch to a backend
+    /// which may answer UNSAT wrongly (see [`SatBackend::is_complete`]) must
+    /// use `complete_with` instead.
+    ///
+    /// [`SatBackend::is_complete`]: crate::SatBackend::is_complete
+    pub fn complete(
+        &self,
+        prepared: PreparedRequest,
+        outcome: SolveOutcome,
+        backend: &str,
+        latency: Duration,
+    ) -> SolveOutcome {
+        self.complete_with(prepared, outcome, backend, true, latency)
+    }
+
     /// Folds a backend's `outcome` for a [`PreparedRequest`] back into the
     /// caller's variable space: records dispatch metrics and budget spend,
-    /// feeds the cache (definitive verdicts only; satisfiable ones only with
-    /// a model, which is verified against the canonical formula on insert),
-    /// and lifts the model through the reduction trace.
-    pub fn complete(
+    /// feeds the cache and lifts the model through the reduction trace.
+    ///
+    /// Only definitive verdicts are cached. A satisfiable one needs a model,
+    /// which is verified against the canonical formula on insert. An
+    /// unsatisfiable one cannot be verified, so it is cached only when
+    /// `backend_complete` says the answering backend is complete: a
+    /// statistical engine's false UNSAT would otherwise answer every later
+    /// request for the same formula, whichever backend it names.
+    pub fn complete_with(
         &self,
         prepared: PreparedRequest,
         mut outcome: SolveOutcome,
         backend: &str,
+        backend_complete: bool,
         latency: Duration,
     ) -> SolveOutcome {
         self.metrics.record_dispatch(backend, latency);
@@ -284,7 +306,7 @@ impl SolvePipeline {
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             let cacheable = match outcome.verdict {
                 SolveVerdict::Satisfiable => outcome.model.is_some(),
-                SolveVerdict::Unsatisfiable => true,
+                SolveVerdict::Unsatisfiable => backend_complete,
                 SolveVerdict::Unknown(_) => false,
             };
             if cacheable {
@@ -316,11 +338,15 @@ impl SolvePipeline {
             PipelineDecision::Resolved(outcome) => Ok(outcome),
             PipelineDecision::Dispatch(prepared) => {
                 let started = Instant::now();
-                let outcome = {
-                    let inner = prepared.request(request);
-                    registry.create(backend)?.solve(&inner)?
-                };
-                Ok(self.complete(prepared, outcome, backend, started.elapsed()))
+                let mut engine = registry.create(backend)?;
+                let outcome = engine.solve(&prepared.request(request))?;
+                Ok(self.complete_with(
+                    prepared,
+                    outcome,
+                    backend,
+                    engine.is_complete(),
+                    started.elapsed(),
+                ))
             }
         }
     }

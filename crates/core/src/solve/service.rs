@@ -448,16 +448,21 @@ fn run_job(inner: &ServiceInner, job: &QueuedJob) -> Result<SolveOutcome> {
     let started = Instant::now();
     let solved = catch_unwind(AssertUnwindSafe(|| {
         let dispatch = prepared.request(&request);
-        inner.registry.create(&job.backend)?.solve(&dispatch)
+        let mut engine = inner.registry.create(&job.backend)?;
+        Ok((engine.solve(&dispatch)?, engine.is_complete()))
     }));
     match solved {
-        Ok(Ok(outcome)) => {
+        Ok(Ok((outcome, complete))) => {
             inner
                 .pool
                 .charge(outcome.stats.samples, outcome.stats.coprocessor_checks);
-            Ok(inner
-                .pipeline
-                .complete(prepared, outcome, &job.backend, started.elapsed()))
+            Ok(inner.pipeline.complete_with(
+                prepared,
+                outcome,
+                &job.backend,
+                complete,
+                started.elapsed(),
+            ))
         }
         Ok(Err(error)) => Err(error),
         Err(payload) => Err(NblSatError::BackendPanicked {

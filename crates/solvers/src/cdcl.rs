@@ -4,13 +4,45 @@
 //! (the paper's references \[3\]–\[7\]): two-watched-literal propagation, VSIDS
 //! branching, first-UIP clause learning with non-chronological backjumping,
 //! phase saving and Luby restarts.
+//!
+//! The hot path is laid out for cache locality and no per-conflict
+//! allocation:
+//!
+//! * **Clause arena.** The literals of every clause sit in one flat
+//!   `Vec<Literal>`; a small per-clause header records the clause's start
+//!   and length in it, whether it was learned or imported, the push frame
+//!   it depends on and its LBD. Reduction and [`CdclSolver::pop`] compact
+//!   the arena in place and remap the reasons on the trail.
+//! * **Blocker watches.** Each watch entry carries one other literal of its
+//!   clause. When that blocker is already true the clause is satisfied and
+//!   propagation skips it without touching the arena. Watch lists are
+//!   compacted in place while they are scanned (MiniSat style).
+//! * **Conflict analysis** walks reason clauses in place with persistent
+//!   `seen` and scratch buffers, then shrinks the first-UIP clause by
+//!   recursive minimization with abstract levels (Eén & Sörensson, SAT
+//!   2003). A literal is removed when the rest of the clause implies it
+//!   through a chain of reasons.
+//! * **LBD tiers** (Audemard & Simon, IJCAI 2009). A learned clause
+//!   records its literal block distance, the number of distinct decision
+//!   levels among its literals, when it is learned; an imported clause
+//!   enters with LBD = its length. Reduction runs on a conflict schedule:
+//!   the first round after 2 000 conflicts, each later gap 300 conflicts
+//!   longer than the one before. A round keeps every clause with LBD ≤ 2
+//!   and every current reason, and drops the worse half of the remaining
+//!   learned clauses (higher LBD first, then longer, then older).
+//!
+//! Push/pop frames: every clause carries the deepest push frame it depends
+//! on. A learned clause takes the maximum over every clause its derivation
+//! resolved through, including the reasons minimization walks and the
+//! root-level literals analysis drops, so a pop keeps exactly the learned
+//! clauses that are still implied.
 
 use crate::limits::SearchLimits;
 use crate::share::ShareHandle;
 use crate::solver::{SolveResult, Solver, SolverStats};
 use cnf::{Assignment, CnfFormula, Literal, Variable};
 
-/// Value of a variable in the solver's trail.
+/// Value of a literal (or variable) in the solver's trail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VarValue {
     Unassigned,
@@ -18,31 +50,42 @@ enum VarValue {
     False,
 }
 
-impl VarValue {
-    fn from_bool(b: bool) -> Self {
-        if b {
-            VarValue::True
-        } else {
-            VarValue::False
-        }
-    }
-}
-
-/// A clause in the solver's database.
-#[derive(Debug, Clone)]
-struct DbClause {
-    literals: Vec<Literal>,
+/// The header of one clause in the literal arena.
+#[derive(Debug, Clone, Copy)]
+struct ClauseHeader {
+    /// Offset of the clause's first literal in [`CdclSolver::lits`].
+    start: u32,
+    len: u32,
+    /// Literal block distance at learn time (length for imports, 0 for
+    /// original clauses, which are never reduced).
+    lbd: u32,
     learned: bool,
+    /// `true` for clauses that arrived through a shared clause pool. Imports
+    /// are tagged with the push depth at import time, so a pop drops every
+    /// import taken inside the popped frame.
+    imported: bool,
     /// The deepest push frame this clause depends on: the frame an original
     /// clause was pushed in, or — for a learned clause — the maximum frame of
     /// every clause resolved while deriving it. [`CdclSolver::pop`] keeps
     /// exactly the clauses whose `push_level` survives, so learned clauses
     /// derived from lower frames stay sound across pops.
     push_level: usize,
-    /// `true` for clauses that arrived through a shared clause pool. Imports
-    /// are tagged with the push depth at import time, so a pop drops every
-    /// import taken inside the popped frame.
-    imported: bool,
+}
+
+impl ClauseHeader {
+    fn range(&self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// One entry of a watch list: the watching clause plus a blocker literal
+/// from the same clause. A true blocker means the clause is satisfied and
+/// needs no visit.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    clause: u32,
+    blocker: Literal,
 }
 
 /// The result of one [`CdclSolver::solve_under_assumptions`] call.
@@ -91,6 +134,9 @@ impl IncrementalResult {
 /// Sentinel for a variable currently absent from the VSIDS order heap.
 const NOT_IN_HEAP: usize = usize::MAX;
 
+/// Sentinel in a compaction remap for a clause that was dropped.
+const DROPPED: u32 = u32::MAX;
+
 /// Conflict-driven clause-learning SAT solver.
 ///
 /// ```
@@ -103,8 +149,10 @@ const NOT_IN_HEAP: usize = usize::MAX;
 #[derive(Debug, Clone)]
 pub struct CdclSolver {
     stats: SolverStats,
+    // Per-literal values, indexed by literal code: assigning a variable
+    // writes both of its literals, so reading a literal is one load.
+    assigns: Vec<VarValue>,
     // Per-variable state.
-    values: Vec<VarValue>,
     levels: Vec<usize>,
     reasons: Vec<Option<usize>>, // clause index that implied the variable
     activity: Vec<f64>,
@@ -115,14 +163,24 @@ pub struct CdclSolver {
     // unassigns.
     heap: Vec<usize>,
     heap_pos: Vec<usize>, // position of each variable in `heap`, or NOT_IN_HEAP
-    // Clause database and watches.
-    clauses: Vec<DbClause>,
-    watches: Vec<Vec<usize>>, // indexed by literal code
+    // Clause database: one literal arena plus a header per clause.
+    lits: Vec<Literal>,
+    headers: Vec<ClauseHeader>,
+    learned_count: usize,     // headers with `learned` set
+    watches: Vec<Vec<Watch>>, // indexed by the watched literal's code
     units: Vec<usize>,        // indices of single-literal clauses
     // Trail.
     trail: Vec<Literal>,
     trail_limits: Vec<usize>, // trail length at each decision level
     propagation_head: usize,
+    // Conflict-analysis scratch, kept across conflicts so analysis never
+    // allocates once the buffers have grown.
+    seen: Vec<bool>,
+    to_clear: Vec<usize>, // variables whose `seen` flag must be reset
+    analyze_stack: Vec<Literal>,
+    learnt: Vec<Literal>,
+    level_stamps: Vec<u64>, // per decision level: last LBD computation that counted it
+    lbd_stamp: u64,
     // Incremental state.
     push_depth: usize,
     /// Deepest root-level derivation frame per variable: the maximum
@@ -133,7 +191,7 @@ pub struct CdclSolver {
     /// The push frame that contributed an empty clause, if any (the whole
     /// database is unsatisfiable until that frame is popped).
     empty_clause_level: Option<usize>,
-    /// `true` while `values` holds a complete model of the current clause
+    /// `true` while `assigns` holds a complete model of the current clause
     /// database (the previous call answered SAT and no clauses were pushed or
     /// popped since). Lets a later call whose assumptions the model already
     /// satisfies answer without searching.
@@ -146,7 +204,16 @@ pub struct CdclSolver {
     activity_increment: f64,
     activity_decay: f64,
     restart_base: u64,
-    max_learned: usize,
+    // Reduction schedule: the first round after `reduce_base` conflicts,
+    // each later gap `reduce_increment` conflicts longer. The conflict
+    // count spans every call since the last `init`, because learned
+    // clauses persist across incremental calls.
+    reduce_base: u64,
+    reduce_increment: u64,
+    reduce_gap: u64,
+    next_reduce: u64,
+    total_conflicts: u64,
+    reduce_rounds: u64,
 }
 
 impl Default for CdclSolver {
@@ -158,21 +225,30 @@ impl Default for CdclSolver {
 impl CdclSolver {
     /// Creates a CDCL solver with default parameters.
     pub fn new() -> Self {
+        const REDUCE_BASE: u64 = 2_000;
         CdclSolver {
             stats: SolverStats::default(),
-            values: Vec::new(),
+            assigns: Vec::new(),
             levels: Vec::new(),
             reasons: Vec::new(),
             activity: Vec::new(),
             saved_phase: Vec::new(),
             heap: Vec::new(),
             heap_pos: Vec::new(),
-            clauses: Vec::new(),
+            lits: Vec::new(),
+            headers: Vec::new(),
+            learned_count: 0,
             watches: Vec::new(),
             units: Vec::new(),
             trail: Vec::new(),
             trail_limits: Vec::new(),
             propagation_head: 0,
+            seen: Vec::new(),
+            to_clear: Vec::new(),
+            analyze_stack: Vec::new(),
+            learnt: Vec::new(),
+            level_stamps: Vec::new(),
+            lbd_stamp: 0,
             push_depth: 0,
             var_push: Vec::new(),
             empty_clause_level: None,
@@ -181,7 +257,12 @@ impl CdclSolver {
             activity_increment: 1.0,
             activity_decay: 0.95,
             restart_base: 100,
-            max_learned: 10_000,
+            reduce_base: REDUCE_BASE,
+            reduce_increment: 300,
+            reduce_gap: REDUCE_BASE,
+            next_reduce: REDUCE_BASE,
+            total_conflicts: 0,
+            reduce_rounds: 0,
         }
     }
 
@@ -193,15 +274,18 @@ impl CdclSolver {
 
     fn init(&mut self, formula: &CnfFormula) {
         let n = formula.num_vars();
-        self.values = vec![VarValue::Unassigned; n];
+        self.assigns = vec![VarValue::Unassigned; 2 * n];
         self.levels = vec![0; n];
         self.reasons = vec![None; n];
         self.activity = vec![0.0; n];
         self.saved_phase = vec![false; n];
+        self.seen = vec![false; n];
         self.heap.clear();
         self.heap_pos = vec![NOT_IN_HEAP; n];
         self.rebuild_heap();
-        self.clauses.clear();
+        self.lits.clear();
+        self.headers.clear();
+        self.learned_count = 0;
         self.watches = vec![Vec::new(); 2 * n];
         self.units.clear();
         self.trail.clear();
@@ -212,20 +296,25 @@ impl CdclSolver {
         self.empty_clause_level = None;
         self.model_cached = false;
         self.activity_increment = 1.0;
+        self.reduce_gap = self.reduce_base;
+        self.next_reduce = self.reduce_base;
+        self.total_conflicts = 0;
+        self.reduce_rounds = 0;
         self.stats = SolverStats::default();
     }
 
     /// Grows every per-variable array to cover at least `n` variables.
     fn ensure_vars(&mut self, n: usize) {
-        if n <= self.values.len() {
+        let old = self.levels.len();
+        if n <= old {
             return;
         }
-        let old = self.values.len();
-        self.values.resize(n, VarValue::Unassigned);
+        self.assigns.resize(2 * n, VarValue::Unassigned);
         self.levels.resize(n, 0);
         self.reasons.resize(n, None);
         self.activity.resize(n, 0.0);
         self.saved_phase.resize(n, false);
+        self.seen.resize(n, false);
         self.var_push.resize(n, 0);
         self.watches.resize(2 * n, Vec::new());
         self.heap_pos.resize(n, NOT_IN_HEAP);
@@ -238,15 +327,9 @@ impl CdclSolver {
     /// database, activities and saved phases — the state that makes repeated
     /// incremental calls cheaper than solving from scratch.
     fn reset_search_state(&mut self) {
-        for value in &mut self.values {
-            *value = VarValue::Unassigned;
-        }
-        for reason in &mut self.reasons {
-            *reason = None;
-        }
-        for dep in &mut self.var_push {
-            *dep = 0;
-        }
+        self.assigns.fill(VarValue::Unassigned);
+        self.reasons.fill(None);
+        self.var_push.fill(0);
         self.trail.clear();
         self.trail_limits.clear();
         self.propagation_head = 0;
@@ -257,59 +340,30 @@ impl CdclSolver {
     /// search-state reset).
     fn rebuild_heap(&mut self) {
         self.heap.clear();
-        for pos in &mut self.heap_pos {
-            *pos = NOT_IN_HEAP;
-        }
-        for var in 0..self.values.len() {
+        self.heap_pos.fill(NOT_IN_HEAP);
+        for var in 0..self.levels.len() {
             self.heap_insert(var);
         }
     }
 
-    /// Rebuilds the watch lists and the unit-clause index from the current
-    /// clause database.
-    fn rebuild_watches(&mut self) {
-        for watch in &mut self.watches {
-            watch.clear();
-        }
-        self.units.clear();
-        for (i, clause) in self.clauses.iter().enumerate() {
-            self.watches[clause.literals[0].code()].push(i);
-            if clause.literals.len() > 1 {
-                self.watches[clause.literals[1].code()].push(i);
-            } else {
-                self.units.push(i);
-            }
-        }
-    }
-
-    fn literal_value(&self, lit: Literal) -> VarValue {
-        match self.values[lit.variable().index()] {
-            VarValue::Unassigned => VarValue::Unassigned,
-            VarValue::True => {
-                if lit.is_positive() {
-                    VarValue::True
-                } else {
-                    VarValue::False
-                }
-            }
-            VarValue::False => {
-                if lit.is_positive() {
-                    VarValue::False
-                } else {
-                    VarValue::True
-                }
-            }
-        }
+    #[inline]
+    fn value(&self, lit: Literal) -> VarValue {
+        self.assigns[lit.code()]
     }
 
     fn decision_level(&self) -> usize {
         self.trail_limits.len()
     }
 
+    fn clause(&self, index: usize) -> &[Literal] {
+        &self.lits[self.headers[index].range()]
+    }
+
     fn enqueue(&mut self, lit: Literal, reason: Option<usize>) {
         let var = lit.variable().index();
-        debug_assert_eq!(self.values[var], VarValue::Unassigned);
-        self.values[var] = VarValue::from_bool(lit.is_positive());
+        debug_assert_eq!(self.value(lit), VarValue::Unassigned);
+        self.assigns[lit.code()] = VarValue::True;
+        self.assigns[(!lit).code()] = VarValue::False;
         self.levels[var] = self.decision_level();
         self.reasons[var] = reason;
         self.saved_phase[var] = lit.is_positive();
@@ -317,132 +371,145 @@ impl CdclSolver {
         // on, so [`Self::analyze`] can tag learned clauses that silently
         // resolve against root-level literals. Only needed under push frames.
         let dep = match reason {
-            Some(clause) if self.push_depth > 0 => {
-                let mut dep = self.clauses[clause].push_level;
-                for &q in &self.clauses[clause].literals {
-                    if q != lit {
-                        dep = dep.max(self.var_push[q.variable().index()]);
-                    }
-                }
-                dep
-            }
+            Some(clause) if self.push_depth > 0 => self
+                .clause(clause)
+                .iter()
+                .filter(|&&q| q != lit)
+                .map(|q| self.var_push[q.variable().index()])
+                .fold(self.headers[clause].push_level, usize::max),
             _ => 0,
         };
         self.var_push[var] = dep;
         self.trail.push(lit);
     }
 
-    /// Adds a clause to the database and registers watches.
+    /// Appends a clause to the arena and registers its watches: the first
+    /// two literals watch each other as blockers (callers arrange a sensible
+    /// order); a single-literal clause watches its only literal.
     /// Returns `None` if the clause is empty (immediate conflict at level 0).
     fn add_clause(
         &mut self,
-        literals: Vec<Literal>,
+        literals: &[Literal],
         learned: bool,
         push_level: usize,
+        lbd: u32,
     ) -> Option<usize> {
-        if literals.is_empty() {
-            return None;
+        let (&first, rest) = literals.split_first()?;
+        // Offsets, lengths and clause indices are stored as `u32`; every
+        // clause holds a literal, so no index exceeds the arena's end.
+        assert!(
+            u32::try_from(self.lits.len() + literals.len()).is_ok(),
+            "clause arena exceeds u32 offsets"
+        );
+        let index = self.headers.len();
+        let clause = index as u32;
+        match rest.first() {
+            Some(&second) => {
+                self.watches[first.code()].push(Watch {
+                    clause,
+                    blocker: second,
+                });
+                self.watches[second.code()].push(Watch {
+                    clause,
+                    blocker: first,
+                });
+            }
+            None => {
+                self.watches[first.code()].push(Watch {
+                    clause,
+                    blocker: first,
+                });
+                self.units.push(index);
+            }
         }
-        let index = self.clauses.len();
-        // Watch the first two literals (callers arrange for sensible ordering).
-        self.watches[literals[0].code()].push(index);
-        if literals.len() > 1 {
-            self.watches[literals[1].code()].push(index);
-        } else {
-            self.units.push(index);
-        }
-        self.clauses.push(DbClause {
-            literals,
+        self.headers.push(ClauseHeader {
+            start: self.lits.len() as u32,
+            len: literals.len() as u32,
+            lbd,
             learned,
-            push_level,
             imported: false,
+            push_level,
         });
+        self.lits.extend_from_slice(literals);
+        self.learned_count += usize::from(learned);
         Some(index)
     }
 
     /// Propagates all pending assignments; returns a conflicting clause index
     /// if a conflict is found.
     fn propagate(&mut self) -> Option<usize> {
-        while self.propagation_head < self.trail.len() {
-            let lit = self.trail[self.propagation_head];
+        let mut conflict = None;
+        while conflict.is_none() && self.propagation_head < self.trail.len() {
+            // Clauses watching `false_lit` must find a new watch or propagate.
+            let false_lit = !self.trail[self.propagation_head];
             self.propagation_head += 1;
-            let false_lit = !lit; // literals watching `false_lit` must be updated
             let mut watch_list = std::mem::take(&mut self.watches[false_lit.code()]);
-            let mut i = 0;
-            while i < watch_list.len() {
-                let clause_index = watch_list[i];
-                // Single-literal clauses watch their only literal; a wake-up on
-                // its negation is a direct conflict or (re-)assertion.
-                if self.clauses[clause_index].literals.len() == 1 {
-                    let only = self.clauses[clause_index].literals[0];
-                    match self.literal_value(only) {
-                        VarValue::False => {
-                            self.watches[false_lit.code()] = watch_list;
-                            return Some(clause_index);
-                        }
-                        VarValue::Unassigned => {
-                            self.stats.propagations += 1;
-                            self.enqueue(only, Some(clause_index));
-                        }
-                        VarValue::True => {}
-                    }
-                    i += 1;
+            let (mut read, mut write) = (0, 0);
+            while read < watch_list.len() {
+                let watch = watch_list[read];
+                read += 1;
+                if self.value(watch.blocker) == VarValue::True {
+                    watch_list[write] = watch;
+                    write += 1;
                     continue;
                 }
-                // Ensure the falsified literal sits in position 1.
-                {
-                    let clause = &mut self.clauses[clause_index];
-                    if clause.literals[0] == false_lit {
-                        clause.literals.swap(0, 1);
-                    }
+                let index = watch.clause as usize;
+                let header = self.headers[index];
+                let start = header.start as usize;
+                if header.len == 1 {
+                    // A single-literal clause watches its only literal, which
+                    // is `false_lit` itself: a direct conflict.
+                    watch_list[write] = watch;
+                    write += 1;
+                    conflict = Some(index);
+                    break;
                 }
-
-                let first = self.clauses[clause_index].literals[0];
-                if self.literal_value(first) == VarValue::True {
+                // Ensure the falsified literal sits in position 1.
+                if self.lits[start] == false_lit {
+                    self.lits.swap(start, start + 1);
+                }
+                let first = self.lits[start];
+                let kept = Watch {
+                    clause: watch.clause,
+                    blocker: first,
+                };
+                if first != watch.blocker && self.value(first) == VarValue::True {
                     // Clause already satisfied; keep watching.
-                    i += 1;
+                    watch_list[write] = kept;
+                    write += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut new_watch: Option<usize> = None;
-                for k in 2..self.clauses[clause_index].literals.len() {
-                    let cand = self.clauses[clause_index].literals[k];
-                    if self.literal_value(cand) != VarValue::False {
-                        new_watch = Some(k);
+                let mut moved = false;
+                for k in start + 2..header.range().end {
+                    let candidate = self.lits[k];
+                    if self.value(candidate) != VarValue::False {
+                        self.lits[start + 1] = candidate;
+                        self.lits[k] = false_lit;
+                        self.watches[candidate.code()].push(kept);
+                        moved = true;
                         break;
                     }
                 }
-                match new_watch {
-                    Some(k) => {
-                        // Move the new watch into position 1 and transfer the watch.
-                        self.clauses[clause_index].literals.swap(1, k);
-                        let moved = self.clauses[clause_index].literals[1];
-                        self.watches[moved.code()].push(clause_index);
-                        watch_list.swap_remove(i);
-                        // do not increment i: swapped element takes this slot
-                    }
-                    None => {
-                        // Clause is unit or conflicting under the current assignment.
-                        match self.literal_value(first) {
-                            VarValue::False => {
-                                self.watches[false_lit.code()] = watch_list;
-                                return Some(clause_index);
-                            }
-                            VarValue::Unassigned => {
-                                self.stats.propagations += 1;
-                                self.enqueue(first, Some(clause_index));
-                                i += 1;
-                            }
-                            VarValue::True => {
-                                i += 1;
-                            }
-                        }
-                    }
+                if moved {
+                    continue;
                 }
+                // Clause is unit or conflicting under the current assignment.
+                watch_list[write] = kept;
+                write += 1;
+                if self.value(first) == VarValue::False {
+                    conflict = Some(index);
+                    break;
+                }
+                self.stats.propagations += 1;
+                self.enqueue(first, Some(index));
             }
+            // After a conflict, keep the watches that were not visited.
+            watch_list.copy_within(read.., write);
+            watch_list.truncate(write + watch_list.len() - read);
             self.watches[false_lit.code()] = watch_list;
         }
-        None
+        conflict
     }
 
     fn bump_activity(&mut self, var: usize) {
@@ -530,28 +597,33 @@ impl CdclSolver {
         self.activity_increment /= self.activity_decay;
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (with the
-    /// asserting literal in position 0), the backjump level, and the deepest
-    /// push frame the derivation depends on.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Literal>, usize, usize) {
+    /// First-UIP conflict analysis followed by recursive minimization. Leaves
+    /// the learned clause in `self.learnt` (asserting literal in position 0,
+    /// a literal of the backjump level in position 1) and returns the
+    /// backjump level and the deepest push frame the derivation depends on.
+    fn analyze(&mut self, conflict: usize) -> (usize, usize) {
         let current_level = self.decision_level();
-        let mut learned: Vec<Literal> = Vec::new();
-        let mut seen = vec![false; self.values.len()];
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        // Position 0 is reserved for the asserting literal.
+        learnt.push(Literal::from_code(0));
         let mut counter = 0usize;
         let mut trail_index = self.trail.len();
-        let mut resolve_literal: Option<Literal> = None;
-        let mut reason_clause = conflict;
-        let mut max_push = self.clauses[conflict].push_level;
+        let mut resolved: Option<Literal> = None;
+        let mut reason = conflict;
+        let mut max_push = 0;
 
         loop {
-            max_push = max_push.max(self.clauses[reason_clause].push_level);
-            let reason_literals = self.clauses[reason_clause].literals.clone();
-            for lit in reason_literals {
-                if Some(lit) == resolve_literal {
+            let header = self.headers[reason];
+            max_push = max_push.max(header.push_level);
+            for k in header.range() {
+                let lit = self.lits[k];
+                // When resolving on `resolved`, skip it in its reason clause.
+                if Some(lit) == resolved {
                     continue;
                 }
                 let var = lit.variable().index();
-                if seen[var] {
+                if self.seen[var] {
                     continue;
                 }
                 if self.levels[var] == 0 {
@@ -561,68 +633,162 @@ impl CdclSolver {
                     max_push = max_push.max(self.var_push[var]);
                     continue;
                 }
-                seen[var] = true;
+                self.seen[var] = true;
                 self.bump_activity(var);
                 if self.levels[var] == current_level {
                     counter += 1;
                 } else {
-                    learned.push(lit);
+                    learnt.push(lit);
                 }
             }
             // Find the next literal on the trail (at the current level) to resolve on.
-            loop {
+            let lit = loop {
                 trail_index -= 1;
                 let lit = self.trail[trail_index];
-                if seen[lit.variable().index()] {
-                    resolve_literal = Some(lit);
-                    break;
+                if self.seen[lit.variable().index()] {
+                    break lit;
                 }
-            }
-            let lit = resolve_literal.expect("found a literal to resolve on");
+            };
             counter -= 1;
-            seen[lit.variable().index()] = false;
+            self.seen[lit.variable().index()] = false;
             if counter == 0 {
                 // lit is the first UIP; the learned clause asserts its negation.
-                learned.insert(0, !lit);
+                learnt[0] = !lit;
                 break;
             }
-            reason_clause = self.reasons[lit.variable().index()]
+            reason = self.reasons[lit.variable().index()]
                 .expect("non-decision literal must have a reason");
-            // When resolving on `lit`, skip it while scanning its reason clause.
-            resolve_literal = Some(lit);
+            resolved = Some(lit);
+        }
+
+        // Minimization: drop every literal the rest of the clause implies.
+        // `seen` marks the clause's literals and, as the searches go, every
+        // literal proven redundant.
+        self.to_clear.clear();
+        self.to_clear
+            .extend(learnt[1..].iter().map(|l| l.variable().index()));
+        let levels = learnt[1..].iter().fold(0, |acc, l| {
+            acc | abstract_level(self.levels[l.variable().index()])
+        });
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let lit = learnt[i];
+            match self.lit_redundant(lit, levels) {
+                // The walk's reasons join the derivation of the clause.
+                Some(dep) => max_push = max_push.max(dep),
+                None => {
+                    learnt[kept] = lit;
+                    kept += 1;
+                }
+            }
+        }
+        learnt.truncate(kept);
+        for &var in &self.to_clear {
+            self.seen[var] = false;
         }
 
         // Backjump level: the highest level among the non-asserting literals.
-        let backjump = learned[1..]
-            .iter()
-            .map(|l| self.levels[l.variable().index()])
-            .max()
-            .unwrap_or(0);
-        // Put a literal from the backjump level into watch position 1 so that
-        // the learned clause wakes up correctly after backjumping.
-        if learned.len() > 1 {
-            let pos = learned[1..]
-                .iter()
-                .position(|l| self.levels[l.variable().index()] == backjump)
-                .map(|p| p + 1)
-                .unwrap_or(1);
-            learned.swap(1, pos);
+        // Put a literal from that level into watch position 1 so that the
+        // learned clause wakes up correctly after backjumping.
+        let mut backjump = 0;
+        if learnt.len() > 1 {
+            let mut pos = 1;
+            for (i, l) in learnt.iter().enumerate().skip(1) {
+                let level = self.levels[l.variable().index()];
+                if level > backjump {
+                    backjump = level;
+                    pos = i;
+                }
+            }
+            learnt.swap(1, pos);
         }
-        (learned, backjump, max_push)
+        self.learnt = learnt;
+        (backjump, max_push)
+    }
+
+    /// Whether the false literal `lit` of the clause being learned is implied
+    /// by the clause's other literals: a depth-first walk over reasons that
+    /// succeeds when every path ends in a marked literal or at level 0. The
+    /// abstract `levels` of the clause prune walks that must fail. On
+    /// success returns the deepest push frame the walk resolved through (its
+    /// reasons and the root-level literals it skipped); on failure undoes its
+    /// marks and returns `None`. A decision is never redundant.
+    fn lit_redundant(&mut self, lit: Literal, levels: u32) -> Option<usize> {
+        self.reasons[lit.variable().index()]?;
+        let mut stack = std::mem::take(&mut self.analyze_stack);
+        stack.clear();
+        stack.push(lit);
+        let top = self.to_clear.len();
+        let mut push = 0;
+        let mut redundant = true;
+        'walk: while let Some(implied) = stack.pop() {
+            let implied_var = implied.variable().index();
+            let reason = self.reasons[implied_var].expect("only implied literals are expanded");
+            let header = self.headers[reason];
+            push = push.max(header.push_level);
+            for k in header.range() {
+                let q = self.lits[k];
+                let var = q.variable().index();
+                if var == implied_var || self.seen[var] {
+                    continue;
+                }
+                if self.levels[var] == 0 {
+                    push = push.max(self.var_push[var]);
+                    continue;
+                }
+                if self.reasons[var].is_some() && abstract_level(self.levels[var]) & levels != 0 {
+                    self.seen[var] = true;
+                    self.to_clear.push(var);
+                    stack.push(q);
+                } else {
+                    for &var in &self.to_clear[top..] {
+                        self.seen[var] = false;
+                    }
+                    self.to_clear.truncate(top);
+                    redundant = false;
+                    break 'walk;
+                }
+            }
+        }
+        self.analyze_stack = stack;
+        redundant.then_some(push)
+    }
+
+    /// Literal block distance of `literals`: the number of distinct decision
+    /// levels among them. Must run before the post-conflict backjump, while
+    /// the levels of the learned literals are still current.
+    fn clause_lbd(&mut self, literals: &[Literal]) -> u32 {
+        self.lbd_stamp += 1;
+        let stamp = self.lbd_stamp;
+        let mut lbd = 0;
+        for lit in literals {
+            let level = self.levels[lit.variable().index()];
+            if level >= self.level_stamps.len() {
+                self.level_stamps.resize(level + 1, 0);
+            }
+            if self.level_stamps[level] != stamp {
+                self.level_stamps[level] = stamp;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
     fn backjump(&mut self, level: usize) {
-        while self.decision_level() > level {
-            let limit = self.trail_limits.pop().expect("level > 0");
-            while self.trail.len() > limit {
-                let lit = self.trail.pop().expect("trail non-empty");
-                let var = lit.variable().index();
-                self.values[var] = VarValue::Unassigned;
-                self.reasons[var] = None;
-                self.heap_insert(var);
-            }
+        if self.decision_level() <= level {
+            return;
         }
-        self.propagation_head = self.trail.len().min(self.propagation_head);
+        let limit = self.trail_limits[level];
+        for i in limit..self.trail.len() {
+            let lit = self.trail[i];
+            let var = lit.variable().index();
+            self.assigns[lit.code()] = VarValue::Unassigned;
+            self.assigns[(!lit).code()] = VarValue::Unassigned;
+            self.reasons[var] = None;
+            self.heap_insert(var);
+        }
+        self.trail.truncate(limit);
+        self.trail_limits.truncate(level);
         self.propagation_head = self.trail.len();
     }
 
@@ -631,66 +797,84 @@ impl CdclSolver {
         // assumptions) linger in the heap and are skipped here; backjumping
         // re-inserts whatever it unassigns.
         while let Some(var) = self.heap_pop() {
-            if self.values[var] == VarValue::Unassigned {
+            if self.assigns[2 * var] == VarValue::Unassigned {
                 return Some(var);
             }
         }
         None
     }
 
+    /// One reduction round: keeps every original clause, every learned
+    /// clause with LBD ≤ 2 and every clause that is the reason of a literal
+    /// on the trail, and drops the worse half of the other learned clauses
+    /// (higher LBD first, then longer, then older).
     fn reduce_learned_clauses(&mut self) {
-        // Simple clause-database management: when too many learned clauses
-        // accumulate, drop the longer half that is not currently a reason.
-        let learned_indices: Vec<usize> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learned)
-            .map(|(i, _)| i)
-            .collect();
-        if learned_indices.len() <= self.max_learned {
-            return;
+        self.reduce_rounds += 1;
+        let mut locked = vec![false; self.headers.len()];
+        for lit in &self.trail {
+            if let Some(reason) = self.reasons[lit.variable().index()] {
+                locked[reason] = true;
+            }
         }
-        let reasons: std::collections::HashSet<usize> =
-            self.reasons.iter().flatten().copied().collect();
-        let mut by_len: Vec<usize> = learned_indices
-            .into_iter()
-            .filter(|i| !reasons.contains(i))
+        let mut candidates: Vec<usize> = (0..self.headers.len())
+            .filter(|&i| !locked[i] && self.headers[i].learned && self.headers[i].lbd > 2)
             .collect();
-        by_len.sort_by_key(|&i| std::cmp::Reverse(self.clauses[i].literals.len()));
-        let to_remove: std::collections::HashSet<usize> =
-            by_len.into_iter().take(self.max_learned / 2).collect();
-        if to_remove.is_empty() {
-            return;
+        candidates.sort_by_key(|&i| {
+            let header = &self.headers[i];
+            std::cmp::Reverse((header.lbd, header.len))
+        });
+        let mut dropped = vec![false; self.headers.len()];
+        for &i in &candidates[..candidates.len() / 2] {
+            dropped[i] = true;
         }
-        // Rebuild the clause database and watches without the removed clauses.
-        let mut remap = vec![usize::MAX; self.clauses.len()];
-        let mut new_clauses = Vec::with_capacity(self.clauses.len() - to_remove.len());
-        for (i, clause) in self.clauses.drain(..).enumerate() {
-            if to_remove.contains(&i) {
+        self.compact(|i, _| !dropped[i]);
+    }
+
+    /// Removes every clause `keep` rejects: the arena and the headers are
+    /// compacted in place (order preserved), and reasons, watch lists and
+    /// the unit index are remapped to the new clause indices. Callers never
+    /// drop a clause that is the reason of an assigned literal.
+    fn compact(&mut self, keep: impl Fn(usize, &ClauseHeader) -> bool) {
+        let mut remap = vec![DROPPED; self.headers.len()];
+        let (mut next, mut write) = (0, 0);
+        for (i, slot) in remap.iter_mut().enumerate() {
+            let header = self.headers[i];
+            if !keep(i, &header) {
                 continue;
             }
-            remap[i] = new_clauses.len();
-            new_clauses.push(clause);
+            self.lits.copy_within(header.range(), write);
+            self.headers[next] = ClauseHeader {
+                start: write as u32,
+                ..header
+            };
+            *slot = next as u32;
+            next += 1;
+            write += header.len as usize;
         }
-        self.clauses = new_clauses;
-        self.rebuild_watches();
-        for r in &mut self.reasons {
-            if let Some(old) = *r {
-                *r = if remap[old] == usize::MAX {
-                    None
-                } else {
-                    Some(remap[old])
-                };
-            }
+        self.lits.truncate(write);
+        self.headers.truncate(next);
+        self.learned_count = self.headers.iter().filter(|h| h.learned).count();
+        for reason in self.reasons.iter_mut().flatten() {
+            debug_assert_ne!(remap[*reason], DROPPED, "a reason clause was dropped");
+            *reason = remap[*reason] as usize;
         }
+        for watch_list in &mut self.watches {
+            watch_list.retain_mut(|watch| {
+                watch.clause = remap[watch.clause as usize];
+                watch.clause != DROPPED
+            });
+        }
+        self.units.retain_mut(|unit| {
+            let new = remap[*unit];
+            *unit = new as usize;
+            new != DROPPED
+        });
     }
 
     fn extract_model(&self) -> Assignment {
         Assignment::from_bools(
-            self.values
-                .iter()
-                .map(|v| matches!(v, VarValue::True))
+            (0..self.levels.len())
+                .map(|var| self.assigns[2 * var] == VarValue::True)
                 .collect(),
         )
     }
@@ -699,11 +883,13 @@ impl CdclSolver {
     /// Tautologies are skipped; an empty clause marks the frame as
     /// unconditionally unsatisfiable instead of entering the database.
     fn load_frame(&mut self, formula: &CnfFormula, push_level: usize) {
+        let mut lits: Vec<Literal> = Vec::new();
         for clause in formula.iter() {
-            let mut lits: Vec<Literal> = clause.literals().to_vec();
-            lits.sort();
+            lits.clear();
+            lits.extend_from_slice(clause.literals());
+            lits.sort_unstable();
             lits.dedup();
-            if lits.iter().any(|&l| lits.binary_search(&!l).is_ok()) {
+            if lits.windows(2).any(|w| w[1] == !w[0]) {
                 continue;
             }
             if lits.is_empty() {
@@ -712,7 +898,7 @@ impl CdclSolver {
                 }
                 continue;
             }
-            self.add_clause(lits, false, push_level);
+            self.add_clause(&lits, false, push_level, 0);
         }
     }
 
@@ -721,47 +907,35 @@ impl CdclSolver {
     /// decisions it transitively rests on. The returned literals are a subset
     /// of the current call's assumptions that is already inconsistent with
     /// the clause database.
-    fn analyze_final(&self, p: Literal) -> Vec<Literal> {
+    fn analyze_final(&mut self, p: Literal) -> Vec<Literal> {
         let mut core = vec![p];
         if self.decision_level() == 0 {
             return core;
         }
-        let mut seen = vec![false; self.values.len()];
-        seen[p.variable().index()] = true;
+        self.seen[p.variable().index()] = true;
         for i in (self.trail_limits[0]..self.trail.len()).rev() {
             let lit = self.trail[i];
             let var = lit.variable().index();
-            if !seen[var] {
+            if !self.seen[var] {
                 continue;
             }
             match self.reasons[var] {
                 // Every decision above level 0 at this point is an assumption.
                 None => core.push(lit),
                 Some(clause) => {
-                    for &q in &self.clauses[clause].literals {
-                        if self.levels[q.variable().index()] > 0 {
-                            seen[q.variable().index()] = true;
+                    for k in self.headers[clause].range() {
+                        let q = self.lits[k].variable().index();
+                        if self.levels[q] > 0 {
+                            self.seen[q] = true;
                         }
                     }
                 }
             }
+            self.seen[var] = false;
         }
+        // `p` itself may be fixed at level 0, below the walked trail segment.
+        self.seen[p.variable().index()] = false;
         core
-    }
-
-    /// The CDCL main loop over the current clause database, with
-    /// `assumptions` enqueued as the first decisions (in order).
-    /// Literal block distance of a clause: the number of distinct decision
-    /// levels among its literals. Must run before the post-conflict backjump,
-    /// while the levels of the learned literals are still current.
-    fn clause_lbd(&self, literals: &[Literal]) -> u32 {
-        let mut levels: Vec<usize> = literals
-            .iter()
-            .map(|l| self.levels[l.variable().index()])
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
     }
 
     /// Drains every unseen foreign clause from the attached share pool into
@@ -809,20 +983,17 @@ impl CdclSolver {
             .max()
             .unwrap_or(0);
         self.ensure_vars(max_var);
-        if literals
-            .iter()
-            .any(|&l| self.literal_value(l) == VarValue::True)
-        {
+        if literals.iter().any(|&l| self.value(l) == VarValue::True) {
             // Already satisfied at level 0 for the rest of this frame — the
             // clause cannot prune anything, skip it.
             return false;
         }
         // Move non-false literals to the front so the watched positions 0/1
         // hold literals that are unassigned under the level-0 trail.
-        literals.sort_by_key(|&l| self.literal_value(l) == VarValue::False);
+        literals.sort_by_key(|&l| self.value(l) == VarValue::False);
         let non_false = literals
             .iter()
-            .take_while(|&&l| self.literal_value(l) != VarValue::False)
+            .take_while(|&&l| self.value(l) != VarValue::False)
             .count();
         if non_false == 0 {
             // Falsified by the level-0 trail: since the import is implied by
@@ -832,16 +1003,17 @@ impl CdclSolver {
             }
             return true;
         }
-        let unit = (non_false == 1).then(|| literals[0]);
+        // Imports enter the LBD tiers with LBD = length: no decision levels
+        // to count, and long imports stay reducible.
         let idx = self
-            .add_clause(literals, true, self.push_depth)
+            .add_clause(&literals, true, self.push_depth, literals.len() as u32)
             .expect("non-empty");
-        self.clauses[idx].imported = true;
-        if let Some(lit) = unit {
+        self.headers[idx].imported = true;
+        if non_false == 1 {
             // Exactly one watchable literal: the clause propagates it at
             // level 0 right away (the false watch at position 1 never wakes
             // again, but the clause stays satisfied for the whole frame).
-            self.enqueue(lit, Some(idx));
+            self.enqueue(literals[0], Some(idx));
         }
         false
     }
@@ -849,20 +1021,22 @@ impl CdclSolver {
     /// Number of clauses in the database that arrived through the shared
     /// clause pool (exposed for the clause-sharing invariant suites).
     pub fn imported_clause_count(&self) -> usize {
-        self.clauses.iter().filter(|c| c.imported).count()
+        self.headers.iter().filter(|h| h.imported).count()
     }
 
     /// The literals of every clause currently in the database that arrived
     /// through the shared clause pool (exposed for the clause-sharing
     /// invariant suites, which check each one is implied by the input).
     pub fn imported_clauses(&self) -> Vec<Vec<Literal>> {
-        self.clauses
+        self.headers
             .iter()
-            .filter(|c| c.imported)
-            .map(|c| c.literals.clone())
+            .filter(|h| h.imported)
+            .map(|h| self.lits[h.range()].to_vec())
             .collect()
     }
 
+    /// The CDCL main loop over the current clause database, with
+    /// `assumptions` enqueued as the first decisions (in order).
     fn search(&mut self, assumptions: &[Literal], limits: &SearchLimits) -> IncrementalResult {
         if self.empty_clause_level.is_some() {
             return IncrementalResult::Unsatisfiable(Vec::new());
@@ -872,8 +1046,8 @@ impl CdclSolver {
         // start of a call.
         for i in 0..self.units.len() {
             let idx = self.units[i];
-            let only = self.clauses[idx].literals[0];
-            match self.literal_value(only) {
+            let only = self.lits[self.headers[idx].start as usize];
+            match self.value(only) {
                 VarValue::False => return IncrementalResult::Unsatisfiable(Vec::new()),
                 VarValue::True => {}
                 VarValue::Unassigned => self.enqueue(only, Some(idx)),
@@ -895,37 +1069,39 @@ impl CdclSolver {
             }
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
+                self.total_conflicts += 1;
                 conflicts_since_restart += 1;
                 if self.decision_level() == 0 {
                     return IncrementalResult::Unsatisfiable(Vec::new());
                 }
-                let (learned, backjump_level, depends_on) = self.analyze(conflict);
-                // Export before backjumping: the LBD needs the decision levels
-                // of the learned literals, which go stale once we backjump.
+                let (backjump_level, depends_on) = self.analyze(conflict);
+                let learnt = std::mem::take(&mut self.learnt);
+                // The LBD needs the decision levels of the learned literals,
+                // which go stale once we backjump.
+                let lbd = self.clause_lbd(&learnt);
                 // Only frame-0 derivations leave the solver — those are the
                 // clauses implied by the base formula alone, so a foreign
                 // member may adopt them regardless of its own frame stack.
-                if depends_on == 0 && self.share.is_some() {
-                    let lbd = self.clause_lbd(&learned);
-                    let accepted = self
+                if depends_on == 0
+                    && self
                         .share
                         .as_ref()
-                        .is_some_and(|share| share.export(&learned, lbd));
-                    if accepted {
-                        self.stats.clauses_exported += 1;
-                    }
+                        .is_some_and(|share| share.export(&learnt, lbd))
+                {
+                    self.stats.clauses_exported += 1;
                 }
                 self.decay_activities();
                 self.backjump(backjump_level);
-                let asserting = learned[0];
-                let unit = learned.len() == 1;
+                let asserting = learnt[0];
                 let idx = self
-                    .add_clause(learned, true, depends_on)
+                    .add_clause(&learnt, true, depends_on, lbd)
                     .expect("non-empty");
+                let unit = learnt.len() == 1;
+                self.learnt = learnt;
                 self.stats.learned_clauses += 1;
                 if unit {
                     // Unit learned clause: assert at level 0.
-                    match self.literal_value(asserting) {
+                    match self.value(asserting) {
                         VarValue::Unassigned => self.enqueue(asserting, Some(idx)),
                         VarValue::False => return IncrementalResult::Unsatisfiable(Vec::new()),
                         VarValue::True => {}
@@ -933,7 +1109,13 @@ impl CdclSolver {
                 } else {
                     self.enqueue(asserting, Some(idx));
                 }
-                self.reduce_learned_clauses();
+                if self.total_conflicts >= self.next_reduce {
+                    self.reduce_gap += self.reduce_increment;
+                    self.next_reduce = self.total_conflicts + self.reduce_gap;
+                    if self.learned_count > 0 {
+                        self.reduce_learned_clauses();
+                    }
+                }
             } else {
                 // Restart check.
                 let limit = self.restart_base * luby(restart_count);
@@ -957,7 +1139,7 @@ impl CdclSolver {
                 let mut next_assumption = None;
                 while self.decision_level() < assumptions.len() {
                     let p = assumptions[self.decision_level()];
-                    match self.literal_value(p) {
+                    match self.value(p) {
                         VarValue::True => self.trail_limits.push(self.trail.len()),
                         VarValue::False => {
                             return IncrementalResult::Unsatisfiable(self.analyze_final(p))
@@ -1014,8 +1196,7 @@ impl CdclSolver {
         // incremental speedup lives anyway).
         self.reset_search_state();
         let depth = self.push_depth;
-        self.clauses.retain(|c| c.push_level <= depth);
-        self.rebuild_watches();
+        self.compact(|_, header| header.push_level <= depth);
         if self.empty_clause_level.is_some_and(|l| l > depth) {
             self.empty_clause_level = None;
         }
@@ -1029,7 +1210,7 @@ impl CdclSolver {
 
     /// The number of variables the solver currently tracks.
     pub fn num_vars(&self) -> usize {
-        self.values.len()
+        self.levels.len()
     }
 
     /// Solves the pushed clauses under `assumptions`, IPASIR-style.
@@ -1062,9 +1243,9 @@ impl CdclSolver {
         // new assumption the answer needs no search at all. Sweep workloads
         // hit this constantly — one test pattern detects many faults.
         if self.model_cached
-            && assumptions.iter().all(|&l| {
-                l.variable().index() < self.values.len() && self.literal_value(l) == VarValue::True
-            })
+            && assumptions
+                .iter()
+                .all(|&l| l.code() < self.assigns.len() && self.value(l) == VarValue::True)
         {
             return IncrementalResult::Satisfiable(self.extract_model());
         }
@@ -1080,6 +1261,12 @@ impl CdclSolver {
         self.model_cached = result.is_sat();
         result
     }
+}
+
+/// The abstraction of a decision level used to prune minimization: one bit
+/// of a 32-bit set per level, modulo 32.
+fn abstract_level(level: usize) -> u32 {
+    1 << (level & 31)
 }
 
 /// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, ...), 0-indexed.
@@ -1404,14 +1591,14 @@ mod tests {
         let limits = SearchLimits::unlimited();
         solver.push(&hard);
         assert!(solver.solve_under_assumptions(&[], &limits).is_unsat());
-        let learned_after_first = solver.clauses.iter().filter(|c| c.learned).count();
+        let learned_after_first = solver.learned_count;
         assert!(learned_after_first > 0);
         let mut side = CnfFormula::new(solver.num_vars());
         side.push_clause(cnf::Clause::from_literals(vec![lit(1)]));
         solver.push(&side);
         solver.pop();
         // Learned clauses tagged with frame 1 survive the pop of frame 2.
-        let learned_after_pop = solver.clauses.iter().filter(|c| c.learned).count();
+        let learned_after_pop = solver.learned_count;
         assert_eq!(learned_after_pop, learned_after_first);
         assert!(solver.solve_under_assumptions(&[], &limits).is_unsat());
     }
@@ -1491,26 +1678,37 @@ mod tests {
         use crate::share::{ShareHandle, SharedClausePool};
         use std::sync::Arc;
 
-        let pool = Arc::new(SharedClausePool::default());
-        for seed in 0..5 {
-            let cfg = RandomKSatConfig::new(9, 30, 3).with_seed(seed + 4200);
-            let formula = generators::random_ksat(&cfg).unwrap();
-            let mut exporter = CdclSolver::new().with_restart_base(1);
-            exporter.attach_share(ShareHandle::new(Arc::clone(&pool), 0));
-            let baseline = exporter.solve(&formula);
+        // Once with the default schedule, once reducing after every conflict
+        // so the imports also go through reduction rounds.
+        for reduce_every_conflict in [false, true] {
+            let pool = Arc::new(SharedClausePool::default());
+            let mut reduce_rounds = 0;
+            for seed in 0..5 {
+                let cfg = RandomKSatConfig::new(9, 30, 3).with_seed(seed + 4200);
+                let formula = generators::random_ksat(&cfg).unwrap();
+                let mut exporter = CdclSolver::new().with_restart_base(1);
+                exporter.attach_share(ShareHandle::new(Arc::clone(&pool), 0));
+                let baseline = exporter.solve(&formula);
 
-            let mut importer = CdclSolver::new().with_restart_base(1);
-            importer.attach_share(ShareHandle::new(Arc::clone(&pool), 1));
-            let shared = importer.solve(&formula);
-            assert_eq!(baseline.is_sat(), shared.is_sat(), "seed {seed}");
-            if let SolveResult::Satisfiable(model) = &shared {
-                for clause in importer.imported_clauses() {
-                    assert!(
-                        clause.iter().any(|&l| model.satisfies(l)),
-                        "imported clause {clause:?} not satisfied by model (seed {seed})"
-                    );
+                let mut importer = CdclSolver::new().with_restart_base(1);
+                if reduce_every_conflict {
+                    importer = with_reduce_schedule(importer, 1, 0);
                 }
+                importer.attach_share(ShareHandle::new(Arc::clone(&pool), 1));
+                let shared = importer.solve(&formula);
+                reduce_rounds += importer.reduce_rounds;
+                assert_eq!(baseline.is_sat(), shared.is_sat(), "seed {seed}");
+                if let SolveResult::Satisfiable(model) = &shared {
+                    for clause in importer.imported_clauses() {
+                        assert!(
+                            clause.iter().any(|&l| model.satisfies(l)),
+                            "imported clause {clause:?} not satisfied by model (seed {seed})"
+                        );
+                    }
+                }
+                assert_database_consistent(&importer);
             }
+            assert_eq!(reduce_rounds > 0, reduce_every_conflict);
         }
     }
 
@@ -1524,14 +1722,21 @@ mod tests {
         let foreign = ShareHandle::new(Arc::clone(&pool), 1);
         assert!(foreign.export(&[lit(1), lit(2)], 2));
         assert!(foreign.export(&[lit(-1), lit(3)], 2));
+        // Long enough to sit in a reducible LBD tier once imported.
+        assert!(foreign.export(&[lit(-2), lit(4), lit(-5), lit(7)], 4));
 
-        let mut solver = CdclSolver::new().with_restart_base(1);
+        // Reduction rounds after every conflict: the imports live through
+        // several of them before the pop.
+        let mut solver = with_reduce_schedule(CdclSolver::new().with_restart_base(1), 1, 0);
         solver.attach_share(ShareHandle::new(Arc::clone(&pool), 0));
         solver.push(&generators::pigeonhole(4, 3));
         let limits = SearchLimits::unlimited();
         assert!(solver.solve_under_assumptions(&[], &limits).is_unsat());
         assert!(solver.imported_clause_count() > 0);
+        assert!(solver.reduce_rounds > 0);
+        assert_database_consistent(&solver);
         solver.pop();
+        assert_database_consistent(&solver);
         // Imports were tagged with the frame they arrived in; the pop drops
         // every one of them.
         assert_eq!(solver.imported_clause_count(), 0);
@@ -1576,5 +1781,236 @@ mod tests {
         let mut baseline = CdclSolver::new().with_restart_base(1);
         assert!(baseline.solve(&formula).is_unsat());
         assert_eq!(solver.stats().conflicts, baseline.stats().conflicts);
+    }
+
+    /// Sets the reduction schedule of a fresh solver: the first round after
+    /// `base` conflicts, each later gap `increment` conflicts longer.
+    fn with_reduce_schedule(mut solver: CdclSolver, base: u64, increment: u64) -> CdclSolver {
+        solver.reduce_base = base;
+        solver.reduce_increment = increment;
+        solver.reduce_gap = base;
+        solver.next_reduce = base;
+        solver
+    }
+
+    /// Structural invariants of the arena after any compaction: headers tile
+    /// the arena in order, every clause of two or more literals is watched
+    /// by exactly its first two literals, single-literal clauses are indexed
+    /// as units, and the learned-clause counter matches the headers.
+    fn assert_database_consistent(solver: &CdclSolver) {
+        let mut next_start = 0;
+        let mut watched = vec![0usize; solver.headers.len()];
+        for (code, watch_list) in solver.watches.iter().enumerate() {
+            for watch in watch_list {
+                let clause = solver.clause(watch.clause as usize);
+                assert!(clause[..clause.len().min(2)].contains(&Literal::from_code(code)));
+                assert!(clause.contains(&watch.blocker));
+                watched[watch.clause as usize] += 1;
+            }
+        }
+        for (i, header) in solver.headers.iter().enumerate() {
+            assert_eq!(header.start as usize, next_start, "clause {i} not packed");
+            next_start += header.len as usize;
+            assert_eq!(watched[i], header.len.min(2) as usize, "clause {i} watches");
+            assert_eq!(
+                solver.units.contains(&i),
+                header.len == 1,
+                "clause {i} unit index"
+            );
+        }
+        assert_eq!(next_start, solver.lits.len());
+        let learned = solver.headers.iter().filter(|h| h.learned).count();
+        assert_eq!(solver.learned_count, learned);
+    }
+
+    /// Every clause in the database holds under every model of `formula`
+    /// (brute force: keep `formula` small).
+    fn assert_database_implied_by(solver: &CdclSolver, formula: &CnfFormula) {
+        let n = formula.num_vars();
+        for bits in 0u64..1 << n {
+            let model = Assignment::from_bools((0..n).map(|v| bits >> v & 1 == 1).collect());
+            if !formula.evaluate(&model) {
+                continue;
+            }
+            for (i, header) in solver.headers.iter().enumerate() {
+                let clause = solver.clause(i);
+                assert!(
+                    clause.iter().any(|&l| model.satisfies(l)),
+                    "clause {clause:?} (learned {}, frame {}) is not implied",
+                    header.learned,
+                    header.push_level
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scheduled_reduction_shrinks_the_database_and_keeps_the_verdict() {
+        let mut solver = CdclSolver::new();
+        assert!(solver.solve(&generators::pigeonhole(8, 7)).is_unsat());
+        // php(8,7) needs several thousand conflicts, past the first round.
+        assert!(solver.stats().conflicts >= solver.reduce_base);
+        assert!(solver.reduce_rounds > 0);
+        assert!(solver.learned_count < solver.stats().learned_clauses as usize);
+        assert_database_consistent(&solver);
+        // The solver stays usable after the rounds.
+        assert!(solver.solve(&generators::pigeonhole(5, 4)).is_unsat());
+        assert!(solver.solve(&generators::example6_sat()).is_sat());
+    }
+
+    #[test]
+    fn reduction_keeps_every_current_reason() {
+        // A satisfiable instance that takes some search: after the SAT answer
+        // the whole trail, with its reasons, is still in place.
+        let (formula, mut solver) = (0..50)
+            .find_map(|seed| {
+                let cfg = RandomKSatConfig::from_ratio(100, 4.2, 3).with_seed(seed);
+                let formula = generators::random_ksat(&cfg).unwrap();
+                let mut solver = CdclSolver::new();
+                solver.push(&formula);
+                let sat = solver
+                    .solve_under_assumptions(&[], &SearchLimits::unlimited())
+                    .is_sat();
+                (sat && solver.learned_count >= 100).then_some((formula, solver))
+            })
+            .expect("a satisfiable seed with at least 100 learned clauses");
+        let reasons: Vec<(usize, Vec<Literal>)> = solver
+            .trail
+            .iter()
+            .filter_map(|lit| {
+                let var = lit.variable().index();
+                solver.reasons[var].map(|r| (var, solver.clause(r).to_vec()))
+            })
+            .collect();
+        assert!(!reasons.is_empty());
+        let learned_before = solver.learned_count;
+        solver.reduce_learned_clauses();
+        assert!(
+            solver.learned_count < learned_before,
+            "the round dropped nothing"
+        );
+        for (var, literals) in &reasons {
+            let reason = solver.reasons[*var].expect("reason kept");
+            assert_eq!(solver.clause(reason), literals.as_slice());
+        }
+        assert_database_consistent(&solver);
+        check_incremental_against_oracle(&mut solver, &formula, &[lit(1), lit(-2)]);
+        check_incremental_against_oracle(&mut solver, &formula, &[]);
+    }
+
+    #[test]
+    fn reduction_under_frames_then_pop_matches_the_oracle() {
+        for seed in 0..4 {
+            let base = generators::random_ksat(
+                &RandomKSatConfig::from_ratio(50, 4.0, 3).with_seed(seed + 300),
+            )
+            .unwrap();
+            let top = generators::random_ksat(
+                &RandomKSatConfig::from_ratio(50, 0.4, 3).with_seed(seed + 400),
+            )
+            .unwrap();
+            let mut both = base.clone();
+            for clause in top.iter() {
+                both.push_clause(clause.clone());
+            }
+            let mut solver = with_reduce_schedule(CdclSolver::new(), 10, 5);
+            solver.push(&base);
+            solver.push(&top);
+            for call in 0..8i64 {
+                let assumptions = [lit(call % 50 + 1), lit(-((call * 7 + 3) % 50 + 1))];
+                check_incremental_against_oracle(&mut solver, &both, &assumptions);
+            }
+            check_incremental_against_oracle(&mut solver, &both, &[]);
+            assert!(solver.reduce_rounds > 0, "seed {seed}: no reduction round");
+            assert!(solver.pop());
+            assert_database_consistent(&solver);
+            for call in 0..8i64 {
+                let assumptions = [lit(-(call % 50 + 1)), lit((call * 11 + 5) % 50 + 1)];
+                check_incremental_against_oracle(&mut solver, &base, &assumptions);
+            }
+            check_incremental_against_oracle(&mut solver, &base, &[]);
+        }
+    }
+
+    #[test]
+    fn learned_clauses_stay_implied_by_the_frames_that_survive_a_pop() {
+        // Small enough to enumerate: after every call each clause in the
+        // database must be implied by the pushed frames, and after the pop
+        // by the base frame alone. A learned clause whose derivation (first
+        // UIP, minimization, or a root-level literal it dropped) touched the
+        // top frame must leave with it.
+        for seed in 0..40 {
+            let base =
+                generators::random_ksat(&RandomKSatConfig::new(12, 40, 3).with_seed(seed + 500))
+                    .unwrap();
+            let top =
+                generators::random_ksat(&RandomKSatConfig::new(12, 14, 2).with_seed(seed + 600))
+                    .unwrap();
+            let mut both = base.clone();
+            for clause in top.iter() {
+                both.push_clause(clause.clone());
+            }
+            let mut solver = with_reduce_schedule(CdclSolver::new().with_restart_base(2), 3, 1);
+            solver.push(&base);
+            solver.push(&top);
+            for call in 0..4i64 {
+                let assumptions = [lit((seed as i64 + call) % 12 + 1)];
+                check_incremental_against_oracle(&mut solver, &both, &assumptions);
+                assert_database_implied_by(&solver, &both);
+            }
+            solver.pop();
+            assert_database_consistent(&solver);
+            assert_database_implied_by(&solver, &base);
+            check_incremental_against_oracle(&mut solver, &base, &[lit(-(seed as i64 % 12) - 1)]);
+        }
+    }
+
+    #[test]
+    fn minimization_drops_implied_literals_and_inherits_their_frame() {
+        // Assuming 1 then 3: 1 implies 2; 3 and 2 imply 5, which conflicts
+        // with (¬3 ∨ ¬1 ∨ ¬5). The first-UIP clause is (¬3 ∨ ¬1 ∨ ¬2), and
+        // minimization drops ¬2 because the reason of 2 rests on ¬1 alone
+        // (plus root-level literals). The top frame supplies what that
+        // walk resolves through: in the first case the reason (¬1 ∨ 2)
+        // itself, in the second the root-level unit 6 the reason
+        // (¬1 ∨ ¬6 ∨ 2) needs. Either way the shorter clause depends on the
+        // top frame although the rest of its derivation does not.
+        let cases = [
+            (
+                cnf_formula![[-3, -2, 5], [-3, -1, -5]],
+                cnf_formula![[-1, 2]],
+            ),
+            (
+                cnf_formula![[-3, -2, 5], [-3, -1, -5], [-1, -6, 2]],
+                cnf_formula![[6]],
+            ),
+        ];
+        for (case, (base, top)) in cases.iter().enumerate() {
+            let mut solver = CdclSolver::new();
+            solver.push(base);
+            solver.push(top);
+            let limits = SearchLimits::unlimited();
+            let result = solver.solve_under_assumptions(&[lit(1), lit(3)], &limits);
+            assert!(result.is_unsat(), "case {case}");
+            let learned: Vec<(Vec<Literal>, usize)> = solver
+                .headers
+                .iter()
+                .enumerate()
+                .filter(|(_, h)| h.learned)
+                .map(|(i, h)| {
+                    let mut clause = solver.clause(i).to_vec();
+                    clause.sort();
+                    (clause, h.push_level)
+                })
+                .collect();
+            assert_eq!(learned, vec![(vec![lit(-1), lit(-3)], 2)], "case {case}");
+            // Popping the top frame drops the clause: without the top frame
+            // both assumptions hold together.
+            solver.pop();
+            assert_eq!(solver.learned_count, 0, "case {case}");
+            assert!(solver
+                .solve_under_assumptions(&[lit(1), lit(3)], &limits)
+                .is_sat());
+        }
     }
 }

@@ -12,6 +12,7 @@
 use nbl_sat_repro::prelude::*;
 use proptest::prelude::*;
 
+use cnf::generators::{self, RandomKSatConfig};
 use cnf::EvalMode;
 
 /// Strategy: a random CNF formula with `1..=max_vars` variables and
@@ -126,5 +127,84 @@ proptest! {
         let result =
             solver.solve_under_assumptions(&cube.to_assumptions(), &SearchLimits::unlimited());
         prop_assert_eq!(result.is_sat(), expected);
+    }
+}
+
+/// Frames, learned-clause minimization and scheduled reduction together, on
+/// formulas big enough for the clause database to be managed: two push
+/// frames of random 3-SAT near the α≈4.26 threshold, a run of assumption
+/// calls whose conflicts add up past the first reduction round (after 2 000
+/// conflicts), then a pop of the top frame. Every answer before and after
+/// the pop must match a from-scratch solve of the frames still pushed.
+#[test]
+fn two_frames_through_reduction_rounds_pop_to_the_base_oracle() {
+    fn oracle(frames: &[&CnfFormula], assumptions: &[Literal]) -> bool {
+        let mut formula = CnfFormula::new(frames[0].num_vars());
+        for frame in frames {
+            for clause in frame.iter() {
+                formula.push_clause(clause.clone());
+            }
+        }
+        CdclSolver::new()
+            .solve(&with_units(&formula, assumptions))
+            .is_sat()
+    }
+    let limits = SearchLimits::unlimited();
+    for seed in [11u64, 14] {
+        let n = 100;
+        let config = |alpha, seed| RandomKSatConfig::from_ratio(n, alpha, 3).with_seed(seed);
+        let base = generators::random_ksat(&config(3.9, seed)).unwrap();
+        let top = generators::random_ksat(&config(0.15, seed + 1000)).unwrap();
+        let mut solver = CdclSolver::new();
+        solver.push(&base);
+        solver.push(&top);
+        // Three distinct variables per call, spread by a fixed LCG.
+        let assumption = |call: u64, seed: u64| {
+            let mut state = (call + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed;
+            let mut cube: Vec<Literal> = Vec::new();
+            while cube.len() < 3 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let var = Variable::new((state >> 33) as usize % n);
+                if cube.iter().all(|l| l.variable() != var) {
+                    cube.push(Literal::with_phase(var, state >> 63 == 1));
+                }
+            }
+            cube
+        };
+        let mut conflicts = 0;
+        let mut calls = 0;
+        while conflicts < 2_600 {
+            let assumptions = assumption(calls, seed);
+            let result = solver.solve_under_assumptions(&assumptions, &limits);
+            conflicts += solver.stats().conflicts;
+            calls += 1;
+            assert_eq!(
+                result.is_sat(),
+                oracle(&[&base, &top], &assumptions),
+                "seed {seed} call {calls}: two frames"
+            );
+            if let IncrementalResult::Satisfiable(model) = &result {
+                assert!(base.evaluate(model) && top.evaluate(model));
+            }
+            assert!(
+                calls < 400,
+                "seed {seed}: too few conflicts to reach a reduction"
+            );
+        }
+        assert!(solver.pop());
+        for call in 0..12 {
+            let assumptions = assumption(call + 500, seed);
+            let result = solver.solve_under_assumptions(&assumptions, &limits);
+            assert_eq!(
+                result.is_sat(),
+                oracle(&[&base], &assumptions),
+                "seed {seed} call {call}: after the pop"
+            );
+            if let IncrementalResult::Satisfiable(model) = &result {
+                assert!(base.evaluate(model));
+            }
+        }
     }
 }

@@ -183,3 +183,60 @@ fn fleet_coordinator_preprocesses_before_splitting() {
     );
     assert!(outcome.stats.preprocessed_vars_removed >= 1);
 }
+
+/// A statistical backend's UNSAT must not reach the verdict cache: the
+/// sampled engine answers UNSAT on these small satisfiable formulas, and a
+/// later `cdcl` request for the same formula on the same pipeline (or
+/// service) must still be solved, not answered from the cache. Verified SAT
+/// answers stay cacheable from any backend.
+#[test]
+fn incomplete_backend_unsat_never_poisons_the_cache() {
+    let registry = BackendRegistry::default();
+    let pipeline = SolvePipeline::new(PipelineConfig::new().with_default_cache());
+    let service = SolveService::builder(&registry)
+        .workers(1)
+        .cache_capacity(64)
+        .start();
+    let mut false_unsats = 0;
+    for seed in 0..8u64 {
+        let formula =
+            generators::random_ksat(&RandomKSatConfig::from_ratio(5, 3.0, 3).with_seed(seed))
+                .unwrap();
+        let raw = registry
+            .create("cdcl")
+            .unwrap()
+            .solve(&SolveRequest::new(&formula))
+            .unwrap();
+        assert!(
+            raw.verdict.is_sat(),
+            "seed {seed}: raw cdcl must find the model"
+        );
+        let request = SolveRequest::new(&formula).artifacts(Artifacts::Model);
+        let sampled = pipeline.solve(&registry, "nbl-sampled", &request).unwrap();
+        false_unsats += usize::from(sampled.verdict.is_unsat());
+        let exact = pipeline.solve(&registry, "cdcl", &request).unwrap();
+        assert!(
+            exact.verdict.is_sat(),
+            "seed {seed}: cdcl answered {:?} after nbl-sampled said {:?} (winner {:?})",
+            exact.verdict,
+            sampled.verdict,
+            exact.stats.winner
+        );
+        assert!(formula.evaluate(exact.model.as_ref().unwrap()));
+        // The verified model is cached: any backend now hits it.
+        let again = pipeline.solve(&registry, "nbl-sampled", &request).unwrap();
+        assert_eq!(again.stats.winner, Some("cache"), "seed {seed}");
+        assert!(again.verdict.is_sat());
+
+        let sampled = service.submit("nbl-sampled", &request).wait().unwrap();
+        let exact = service.submit("cdcl", &request).wait().unwrap();
+        assert!(
+            exact.verdict.is_sat(),
+            "seed {seed}: service cdcl answered {:?} after nbl-sampled said {:?}",
+            exact.verdict,
+            sampled.verdict
+        );
+    }
+    service.shutdown();
+    assert!(false_unsats > 0, "the sampled engine never answered UNSAT");
+}

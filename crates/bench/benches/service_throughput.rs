@@ -2,11 +2,12 @@
 //! submit-then-wait throughput against the one-shot `SolveBatch` wrapper on
 //! the same workload, across worker-pool sizes — the cost of the persistent
 //! queue (condvar wakeups, per-job heap ops, formula clones) relative to the
-//! raw fan-out it schedules.
+//! raw fan-out it schedules — plus the cost of the preprocessing stage every
+//! request passes before the queue dispatches it.
 
 use cnf::generators::{self, RandomKSatConfig};
 use cnf::CnfFormula;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nbl_sat_core::{
     Artifacts, BackendRegistry, JobPriority, SolveBatch, SolveRequest, SolveService,
 };
@@ -143,10 +144,27 @@ fn service_priority_scheduling_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+fn pipeline_preprocess(c: &mut Criterion) {
+    // `cnf::preprocess` (normalize, propagate, canonicalize) on a structured
+    // instance and on a random one of similar size. The buggy adder miter's
+    // tied variable classes are interchangeable, so canonicalizing it should
+    // cost about as much as the random formula's; CI asserts the ratio.
+    let adder = generators::buggy_adder_miter(16, 8);
+    let random =
+        generators::random_ksat(&RandomKSatConfig::from_ratio(150, 4.26, 3).with_seed(1)).unwrap();
+    let mut group = c.benchmark_group("pipeline_preprocess");
+    group.sample_size(10);
+    for (id, formula) in [("adder_bug_w16", &adder), ("random3sat_n150", &random)] {
+        group.bench_function(id, |b| b.iter(|| cnf::preprocess(black_box(formula))));
+    }
+    group.finish();
+}
+
 criterion_group!(
     service_throughput,
     service_vs_batch_throughput,
     service_cache_hit_vs_miss,
-    service_priority_scheduling_overhead
+    service_priority_scheduling_overhead,
+    pipeline_preprocess
 );
 criterion_main!(service_throughput);

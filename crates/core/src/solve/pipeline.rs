@@ -230,9 +230,12 @@ impl SolvePipeline {
             PreprocessOutcome::Reduced { formula, trace } => {
                 self.metrics
                     .record_preprocess(vars_removed, clauses_removed, false);
-                let key = fingerprint(&formula);
+                // The key only serves the cache: a cacheless pipeline skips
+                // the hash.
+                let mut key = None;
                 if let Some(cache) = &self.cache {
-                    if let Some(answer) = cache.lookup(key, &formula) {
+                    let hash = fingerprint(&formula);
+                    if let Some(answer) = cache.lookup(hash, &formula) {
                         let mut outcome = SolveOutcome::of_verdict(answer.verdict);
                         if request.requested_artifacts().wants_model() {
                             outcome.model = answer.model.map(|model| trace.lift_model(&model));
@@ -242,11 +245,12 @@ impl SolvePipeline {
                         outcome.stats.winner = Some("cache");
                         return PipelineDecision::Resolved(outcome);
                     }
+                    key = Some(hash);
                 }
                 PipelineDecision::Dispatch(PreparedRequest {
                     formula,
                     trace: Some(trace),
-                    key: Some(key),
+                    key,
                     vars_removed,
                 })
             }
@@ -481,6 +485,24 @@ mod tests {
             }
         }
         assert_eq!(pipeline.snapshot().cache_misses, 0);
+    }
+
+    #[test]
+    fn cacheless_pipeline_computes_no_cache_key() {
+        // Irreducible: no units, both polarities of both variables.
+        let formula = cnf_formula![[1, 2], [-1, -2], [1, -2]];
+        let request = SolveRequest::new(&formula);
+        let cacheless = SolvePipeline::default();
+        let cached = SolvePipeline::new(PipelineConfig::new().with_cache(16));
+        for (pipeline, keyed) in [(&cacheless, false), (&cached, true)] {
+            match pipeline.prepare(&request) {
+                PipelineDecision::Dispatch(prepared) => {
+                    assert!(prepared.is_reduced());
+                    assert_eq!(prepared.key.is_some(), keyed);
+                }
+                PipelineDecision::Resolved(_) => panic!("irreducible formula was resolved"),
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! front ends pay.
 
 use cnf::generators::{self, RandomKSatConfig};
-use cnf::{EvalMode, Literal};
+use cnf::Literal;
 use criterion::{criterion_group, criterion_main, Criterion};
 use nbl_sat_core::{BackendRegistry, SolveRequest};
 use sat_solvers::{ShareHandle, SharedClausePool, SharingConfig};
@@ -72,8 +72,8 @@ fn cdcl_on_random_3sat_n150(c: &mut Criterion) {
 /// their ratio.
 fn sequential_vs_parallel_portfolio(c: &mut Criterion) {
     let sequential = BackendRegistry::default();
-    let shared = BackendRegistry::with_modes(EvalMode::default(), SharingConfig::default());
-    let racing = BackendRegistry::with_modes(EvalMode::default(), SharingConfig::racing_only());
+    let shared = BackendRegistry::with_sharing(SharingConfig::default());
+    let racing = BackendRegistry::with_sharing(SharingConfig::racing_only());
     let sat =
         generators::random_ksat(&RandomKSatConfig::from_ratio(14, 3.0, 3).with_seed(7)).unwrap();
     let unsat = generators::pigeonhole(5, 4);

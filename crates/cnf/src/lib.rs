@@ -59,7 +59,7 @@ pub use clause::Clause;
 pub use cube::Cube;
 pub use error::{CnfError, Result};
 pub use formula::CnfFormula;
-pub use packed::{AssignmentBlock, EvalMode, PackedFormula};
+pub use packed::{AssignmentBlock, PackedFormula};
 pub use simplify::{
     propagate_units, pure_literals, simplify, CubeRestriction, PropagationOutcome,
     RestrictionOutcome, SimplifyReport,

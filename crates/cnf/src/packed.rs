@@ -17,29 +17,15 @@
 //! of [`crate::Clause::evaluate`]: a lane (or bit vector) covering fewer
 //! variables than the formula reads `false` for the uncovered variables.
 //!
-//! [`EvalMode`] is the workspace-wide switch the solver and engine
-//! configurations use to select between the scalar reference path and the
-//! packed path.
+//! These are the only evaluation cores the solvers and engines run; the
+//! scalar searches they replaced survive only as test-only reference
+//! oracles next to the code they check.
 
 use crate::assignment::Assignment;
 use crate::bits::{BitMatrix, BitVector, Word, WORD_BITS};
 use crate::clause::Clause;
 use crate::formula::CnfFormula;
 use crate::var::Variable;
-
-/// Selects the evaluation core used by solvers and engines.
-///
-/// The scalar path is the reference implementation and differential oracle;
-/// the packed path is the bit-parallel rewrite that must (and, per the
-/// differential test suites, does) produce bit-identical observable results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EvalMode {
-    /// One assignment at a time over `Vec<bool>` — the reference oracle.
-    Scalar,
-    /// 64 assignments (or candidate flips, or minterms) per `u64` word.
-    #[default]
-    Packed,
-}
 
 /// A block of up to 64 candidate assignments in variable-major bit layout.
 ///
@@ -404,12 +390,6 @@ impl From<&CnfFormula> for PackedFormula {
 mod tests {
     use super::*;
     use crate::cnf_formula;
-
-    #[test]
-    fn eval_mode_defaults_to_packed() {
-        assert_eq!(EvalMode::default(), EvalMode::Packed);
-        assert_ne!(EvalMode::Scalar, EvalMode::Packed);
-    }
 
     #[test]
     fn block_from_assignments_roundtrips_lanes() {

@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use cnf::EvalMode;
 use nbl_noise::CarrierKind;
 
 /// Configuration of the Monte-Carlo [`crate::SampledEngine`].
@@ -25,10 +24,6 @@ pub struct EngineConfig {
     /// Number of standard errors the mean must exceed for a "positive mean"
     /// (i.e. satisfiable) decision on sampled data.
     pub decision_sigmas: f64,
-    /// Evaluation core of the budgeted convergence loop: packed (noise
-    /// samples drawn and charged a 64-lane word at a time) or the scalar
-    /// reference path. Both produce bit-identical estimates.
-    pub eval_mode: EvalMode,
 }
 
 impl Default for EngineConfig {
@@ -40,7 +35,6 @@ impl Default for EngineConfig {
             check_interval: 10_000,
             significant_digits: 3,
             decision_sigmas: 3.0,
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -90,12 +84,6 @@ impl EngineConfig {
         self.decision_sigmas = sigmas;
         self
     }
-
-    /// Sets the evaluation core of the convergence loop.
-    pub fn with_eval_mode(mut self, eval_mode: EvalMode) -> Self {
-        self.eval_mode = eval_mode;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -118,14 +106,12 @@ mod tests {
             .with_seed(7)
             .with_max_samples(500)
             .with_check_interval(50)
-            .with_decision_sigmas(5.0)
-            .with_eval_mode(EvalMode::Scalar);
+            .with_decision_sigmas(5.0);
         assert_eq!(cfg.carrier, CarrierKind::Rtw);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.max_samples, 500);
         assert_eq!(cfg.check_interval, 50);
         assert_eq!(cfg.decision_sigmas, 5.0);
-        assert_eq!(cfg.eval_mode, EvalMode::Scalar);
     }
 
     #[test]

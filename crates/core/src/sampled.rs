@@ -13,16 +13,8 @@ use crate::engine::{MeanEstimate, NblEngine};
 use crate::error::{NblSatError, Result};
 use crate::transform::NblSatInstance;
 use cnf::bits::WORD_BITS;
-use cnf::{EvalMode, PartialAssignment, Variable};
+use cnf::{PartialAssignment, Variable};
 use nbl_noise::{CarrierBank, ConvergenceTracker, Correlator};
-
-/// How often (in samples) the budgeted convergence loop polls the wall-clock
-/// deadline. Each sample already costs `O(n·m)` multiplications, so polling
-/// every few samples keeps the overhead negligible while bounding the
-/// reaction latency. Kept equal to [`WORD_BITS`] so the scalar and packed
-/// loops poll at the same instants (word boundaries) and therefore interrupt
-/// identically.
-const DEADLINE_POLL_INTERVAL: u64 = WORD_BITS as u64;
 
 /// Monte-Carlo simulation engine for ⟨S_N⟩.
 ///
@@ -61,13 +53,14 @@ struct Evaluator {
     bank: Box<dyn CarrierBank>,
 }
 
-/// Flattened evaluation plan for the packed convergence loop: the τ_N / Σ_N
-/// datapath with every source lookup resolved to a flat index up front, so
-/// the per-sample inner loop touches only contiguous index arrays.
+/// Flattened evaluation plan of S_N = τ_N · Σ_N, the one sample evaluator
+/// behind both the convergence loop and [`SampledEngine::trace`]: the τ_N /
+/// Σ_N datapath with every source lookup resolved to a flat index up front,
+/// so the per-sample inner loop touches only contiguous index arrays.
 ///
-/// The multiplication order is *identical* to [`SampledEngine::tau_sample`]
-/// and [`SampledEngine::sigma_sample`], so the scalar and packed loops
-/// produce bit-identical floating-point streams.
+/// The multiplication order is *identical* to the scalar τ_N and Σ_N
+/// evaluators it replaced (kept as test-only reference helpers), so the plan
+/// produces a bit-identical floating-point stream.
 #[derive(Debug)]
 struct SamplePlan {
     tau: Vec<TauTerm>,
@@ -174,7 +167,7 @@ impl SamplePlan {
     }
 }
 
-/// Mutable state threaded through the scalar/packed convergence loops.
+/// Mutable state threaded through the convergence loop.
 #[derive(Debug)]
 struct LoopState {
     eval: Evaluator,
@@ -206,6 +199,193 @@ impl SampledEngine {
         }
     }
 
+    /// The convergence loop: samples are drawn and charged a 64-lane word at
+    /// a time through a flattened [`SamplePlan`]. Each full word charges
+    /// [`WORD_BITS`] samples to the meter; the tail word is clamped to `cap`
+    /// and an early convergence break charges exactly the lanes drawn, so the
+    /// meter sees every sample exactly once. The wall-clock deadline is
+    /// polled at word boundaries.
+    fn converge_packed(
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        cap: u64,
+        meter: &mut BudgetMeter,
+        state: &mut LoopState,
+    ) {
+        let plan = SamplePlan::new(instance, bindings);
+        while state.samples < cap {
+            if meter.ensure_time().is_err() {
+                state.timed_out = true;
+                break;
+            }
+            let lanes = (WORD_BITS as u64).min(cap - state.samples);
+            let mut drawn = 0u64;
+            for _ in 0..lanes {
+                state.eval.bank.next_sample(&mut state.eval.values);
+                state
+                    .correlator
+                    .push_product(plan.s_sample(&state.eval.values));
+                state.samples += 1;
+                drawn += 1;
+                if state
+                    .tracker
+                    .observe(state.samples, state.correlator.mean_product())
+                {
+                    state.converged = true;
+                    break;
+                }
+            }
+            meter.charge_samples(drawn);
+            if state.converged {
+                break;
+            }
+        }
+    }
+
+    /// Runs the simulation and records the running mean at the given sample
+    /// checkpoints (used to regenerate Figure 1). The simulation always runs
+    /// to the last checkpoint, ignoring the convergence stopping rule.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the bindings do not match the instance.
+    pub fn trace(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        label: impl Into<String>,
+        checkpoints: &[u64],
+    ) -> Result<ConvergenceTrace> {
+        instance.validate_bindings(bindings)?;
+        let mut trace = ConvergenceTrace::new(label);
+        if checkpoints.is_empty() {
+            return Ok(trace);
+        }
+        let mut sorted: Vec<u64> = checkpoints.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let max = *sorted.last().expect("non-empty");
+        let plan = SamplePlan::new(instance, bindings);
+        let mut eval = self.evaluator(instance);
+        let mut correlator = Correlator::new();
+        let mut next_checkpoint = 0usize;
+        for sample in 1..=max {
+            eval.bank.next_sample(&mut eval.values);
+            correlator.push_product(plan.s_sample(&eval.values));
+            if sample == sorted[next_checkpoint] {
+                trace.push(sample, correlator.mean_product());
+                next_checkpoint += 1;
+                if next_checkpoint == sorted.len() {
+                    break;
+                }
+            }
+        }
+        Ok(trace)
+    }
+
+    /// Convenience wrapper around [`SampledEngine::trace`] with
+    /// logarithmically spaced checkpoints up to the configured sample cap.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the bindings do not match the instance.
+    pub fn trace_logspaced(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        label: impl Into<String>,
+        points_per_decade: u32,
+    ) -> Result<ConvergenceTrace> {
+        let checkpoints = log_spaced_checkpoints(self.config.max_samples, points_per_decade);
+        self.trace(instance, bindings, label, &checkpoints)
+    }
+}
+
+impl NblEngine for SampledEngine {
+    fn estimate(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+    ) -> Result<MeanEstimate> {
+        // One convergence loop serves both entry points: an unlimited meter
+        // imposes no clamp and polls no deadline that can fire.
+        self.estimate_budgeted(instance, bindings, &mut BudgetMeter::default())
+    }
+
+    /// Budgeted variant of the convergence loop: the sample cap is clamped to
+    /// the meter's remaining allowance and the wall-clock deadline is polled
+    /// every few samples, so a budget genuinely interrupts the simulation.
+    ///
+    /// When a limit fires before the engine's own stopping rule (§IV
+    /// convergence) is met, the exhaustion is reported as
+    /// [`NblSatError::BudgetExhausted`] — the partial estimate is *not*
+    /// returned, because the engine cannot know the decision threshold its
+    /// caller (e.g. a [`crate::SatChecker`] with custom sigmas) would apply
+    /// to it, and a truncated mean must never masquerade as a definitive
+    /// verdict.
+    fn estimate_budgeted(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        meter: &mut BudgetMeter,
+    ) -> Result<MeanEstimate> {
+        meter.ensure_time()?;
+        meter.ensure_samples()?;
+        instance.validate_bindings(bindings)?;
+        let budget_cap = meter.remaining_samples().unwrap_or(u64::MAX);
+        let cap = self.config.max_samples.min(budget_cap);
+        let budget_clamped = budget_cap < self.config.max_samples;
+        let mut state = LoopState {
+            eval: self.evaluator(instance),
+            correlator: Correlator::new(),
+            tracker: ConvergenceTracker::new(
+                self.config.significant_digits,
+                self.config.check_interval,
+            ),
+            samples: 0,
+            converged: false,
+            timed_out: false,
+        };
+        Self::converge_packed(instance, bindings, cap, meter, &mut state);
+        if state.timed_out && !state.converged {
+            return Err(NblSatError::BudgetExhausted {
+                resource: ExhaustedResource::WallClock,
+            });
+        }
+        if budget_clamped && state.samples == cap && !state.converged {
+            return Err(NblSatError::BudgetExhausted {
+                resource: ExhaustedResource::Samples,
+            });
+        }
+        Ok(MeanEstimate {
+            mean: state.correlator.mean_product(),
+            std_error: state.correlator.std_error(),
+            samples: state.samples,
+            converged: state.converged,
+            exact: false,
+        })
+    }
+
+    fn name(&self) -> &'static str {
+        "sampled"
+    }
+}
+
+/// How often (in samples) the budgeted convergence loop polls the wall-clock
+/// deadline. Each sample already costs `O(n·m)` multiplications, so polling
+/// every few samples keeps the overhead negligible while bounding the
+/// reaction latency. Kept equal to [`WORD_BITS`] so the scalar and packed
+/// loops poll at the same instants (word boundaries) and therefore interrupt
+/// identically.
+#[cfg(test)]
+const DEADLINE_POLL_INTERVAL: u64 = WORD_BITS as u64;
+
+/// The scalar sample evaluator and convergence loop this module ran before
+/// [`SamplePlan`] became its only evaluator: a test-only oracle, kept
+/// verbatim, that the production estimate and trace must match bit for bit
+/// ([`MeanEstimate`] and [`ConvergenceTrace`]).
+#[cfg(test)]
+impl SampledEngine {
     /// Evaluates one sample of τ_N on the current source values.
     fn tau_sample(instance: &NblSatInstance, bindings: &PartialAssignment, values: &[f64]) -> f64 {
         let m = instance.num_clauses();
@@ -287,58 +467,43 @@ impl SampledEngine {
         meter.charge_samples(state.samples);
     }
 
-    /// The packed convergence loop: samples are drawn and charged a 64-lane
-    /// word at a time through a flattened [`SamplePlan`]. Each full word
-    /// charges [`WORD_BITS`] samples to the meter; the tail word is clamped
-    /// to `cap` and an early convergence break charges exactly the lanes
-    /// drawn, so the accounting matches the scalar loop sample for sample.
-    /// The wall-clock deadline is polled at word boundaries — the same
-    /// instants as the scalar loop's poll.
-    fn converge_packed(
+    /// [`NblEngine::estimate`] through the scalar convergence loop.
+    fn estimate_scalar(
+        &self,
         instance: &NblSatInstance,
         bindings: &PartialAssignment,
-        cap: u64,
-        meter: &mut BudgetMeter,
-        state: &mut LoopState,
-    ) {
-        let plan = SamplePlan::new(instance, bindings);
-        while state.samples < cap {
-            if meter.ensure_time().is_err() {
-                state.timed_out = true;
-                break;
-            }
-            let lanes = (WORD_BITS as u64).min(cap - state.samples);
-            let mut drawn = 0u64;
-            for _ in 0..lanes {
-                state.eval.bank.next_sample(&mut state.eval.values);
-                state
-                    .correlator
-                    .push_product(plan.s_sample(&state.eval.values));
-                state.samples += 1;
-                drawn += 1;
-                if state
-                    .tracker
-                    .observe(state.samples, state.correlator.mean_product())
-                {
-                    state.converged = true;
-                    break;
-                }
-            }
-            meter.charge_samples(drawn);
-            if state.converged {
-                break;
-            }
+    ) -> MeanEstimate {
+        let mut state = LoopState {
+            eval: self.evaluator(instance),
+            correlator: Correlator::new(),
+            tracker: ConvergenceTracker::new(
+                self.config.significant_digits,
+                self.config.check_interval,
+            ),
+            samples: 0,
+            converged: false,
+            timed_out: false,
+        };
+        let mut meter = BudgetMeter::default();
+        Self::converge_scalar(
+            instance,
+            bindings,
+            self.config.max_samples,
+            &mut meter,
+            &mut state,
+        );
+        MeanEstimate {
+            mean: state.correlator.mean_product(),
+            std_error: state.correlator.std_error(),
+            samples: state.samples,
+            converged: state.converged,
+            exact: false,
         }
     }
 
-    /// Runs the simulation and records the running mean at the given sample
-    /// checkpoints (used to regenerate Figure 1). The simulation always runs
-    /// to the last checkpoint, ignoring the convergence stopping rule.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the bindings do not match the instance.
-    pub fn trace(
+    /// [`SampledEngine::trace`] as it ran before [`SamplePlan`]: every
+    /// sample through the scalar [`SampledEngine::s_sample`].
+    fn trace_scalar(
         &mut self,
         instance: &NblSatInstance,
         bindings: &PartialAssignment,
@@ -369,96 +534,6 @@ impl SampledEngine {
             }
         }
         Ok(trace)
-    }
-
-    /// Convenience wrapper around [`SampledEngine::trace`] with
-    /// logarithmically spaced checkpoints up to the configured sample cap.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the bindings do not match the instance.
-    pub fn trace_logspaced(
-        &mut self,
-        instance: &NblSatInstance,
-        bindings: &PartialAssignment,
-        label: impl Into<String>,
-        points_per_decade: u32,
-    ) -> Result<ConvergenceTrace> {
-        let checkpoints = log_spaced_checkpoints(self.config.max_samples, points_per_decade);
-        self.trace(instance, bindings, label, &checkpoints)
-    }
-}
-
-impl NblEngine for SampledEngine {
-    fn estimate(
-        &mut self,
-        instance: &NblSatInstance,
-        bindings: &PartialAssignment,
-    ) -> Result<MeanEstimate> {
-        // One convergence loop serves both entry points: an unlimited meter
-        // imposes no clamp and polls no deadline that can fire.
-        self.estimate_budgeted(instance, bindings, &mut BudgetMeter::default())
-    }
-
-    /// Budgeted variant of the convergence loop: the sample cap is clamped to
-    /// the meter's remaining allowance and the wall-clock deadline is polled
-    /// every few samples, so a budget genuinely interrupts the simulation.
-    ///
-    /// When a limit fires before the engine's own stopping rule (§IV
-    /// convergence) is met, the exhaustion is reported as
-    /// [`NblSatError::BudgetExhausted`] — the partial estimate is *not*
-    /// returned, because the engine cannot know the decision threshold its
-    /// caller (e.g. a [`crate::SatChecker`] with custom sigmas) would apply
-    /// to it, and a truncated mean must never masquerade as a definitive
-    /// verdict.
-    fn estimate_budgeted(
-        &mut self,
-        instance: &NblSatInstance,
-        bindings: &PartialAssignment,
-        meter: &mut BudgetMeter,
-    ) -> Result<MeanEstimate> {
-        meter.ensure_time()?;
-        meter.ensure_samples()?;
-        instance.validate_bindings(bindings)?;
-        let budget_cap = meter.remaining_samples().unwrap_or(u64::MAX);
-        let cap = self.config.max_samples.min(budget_cap);
-        let budget_clamped = budget_cap < self.config.max_samples;
-        let mut state = LoopState {
-            eval: self.evaluator(instance),
-            correlator: Correlator::new(),
-            tracker: ConvergenceTracker::new(
-                self.config.significant_digits,
-                self.config.check_interval,
-            ),
-            samples: 0,
-            converged: false,
-            timed_out: false,
-        };
-        match self.config.eval_mode {
-            EvalMode::Scalar => Self::converge_scalar(instance, bindings, cap, meter, &mut state),
-            EvalMode::Packed => Self::converge_packed(instance, bindings, cap, meter, &mut state),
-        }
-        if state.timed_out && !state.converged {
-            return Err(NblSatError::BudgetExhausted {
-                resource: ExhaustedResource::WallClock,
-            });
-        }
-        if budget_clamped && state.samples == cap && !state.converged {
-            return Err(NblSatError::BudgetExhausted {
-                resource: ExhaustedResource::Samples,
-            });
-        }
-        Ok(MeanEstimate {
-            mean: state.correlator.mean_product(),
-            std_error: state.correlator.std_error(),
-            samples: state.samples,
-            converged: state.converged,
-            exact: false,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "sampled"
     }
 }
 
@@ -686,30 +761,52 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn packed_and_scalar_estimates_are_bit_identical() {
-        // The flattened SamplePlan preserves the scalar path's f64
-        // multiplication order exactly, so the two modes must agree on every
-        // bit of the estimate — mean, std error, sample count, convergence.
+    /// The paper's four worked instances, each unbound and with x0 bound
+    /// either way.
+    fn reference_cases() -> Vec<(NblSatInstance, PartialAssignment)> {
+        let mut cases = Vec::new();
         for formula in [
             generators::example6_sat(),
             generators::example7_unsat(),
             generators::section4_sat_instance(),
+            generators::section4_unsat_instance(),
         ] {
             let inst = instance(&formula);
-            for bound in [false, true] {
+            for binding in [None, Some(false), Some(true)] {
                 let mut bindings = inst.empty_bindings();
-                if bound {
-                    bindings.assign(Variable::new(0), true);
+                if let Some(value) = binding {
+                    bindings.assign(Variable::new(0), value);
                 }
-                let mut scalar =
-                    SampledEngine::new(quick_config(9).with_eval_mode(cnf::EvalMode::Scalar));
-                let mut packed =
-                    SampledEngine::new(quick_config(9).with_eval_mode(cnf::EvalMode::Packed));
-                let es = scalar.estimate(&inst, &bindings).unwrap();
-                let ep = packed.estimate(&inst, &bindings).unwrap();
-                assert_eq!(es, ep, "modes diverged (bound={bound})");
+                cases.push((inst.clone(), bindings));
             }
+        }
+        cases
+    }
+
+    #[test]
+    fn estimate_matches_the_scalar_reference() {
+        // The flattened SamplePlan preserves the scalar path's f64
+        // multiplication order exactly, so the two must agree on every bit
+        // of the estimate — mean, std error, sample count, convergence.
+        for (inst, bindings) in reference_cases() {
+            let expected = SampledEngine::new(quick_config(9)).estimate_scalar(&inst, &bindings);
+            let mut engine = SampledEngine::new(quick_config(9));
+            let estimate = engine.estimate(&inst, &bindings).unwrap();
+            assert_eq!(estimate, expected, "diverged on {bindings:?}");
+        }
+    }
+
+    #[test]
+    fn trace_matches_the_scalar_reference() {
+        let checkpoints = log_spaced_checkpoints(20_000, 4);
+        for (inst, bindings) in reference_cases() {
+            let mut reference = SampledEngine::new(quick_config(4));
+            let expected = reference
+                .trace_scalar(&inst, &bindings, "S_N", &checkpoints)
+                .unwrap();
+            let mut engine = SampledEngine::new(quick_config(4));
+            let trace = engine.trace(&inst, &bindings, "S_N", &checkpoints).unwrap();
+            assert_eq!(trace, expected, "diverged on {bindings:?}");
         }
     }
 
@@ -720,7 +817,7 @@ mod tests {
         // loop cares about beyond three full words plus an 8-lane tail; the
         // per-word charges must still add up to exactly 200.
         let inst = instance(&generators::section4_unsat_instance());
-        let mut engine = SampledEngine::new(quick_config(1).with_eval_mode(cnf::EvalMode::Packed));
+        let mut engine = SampledEngine::new(quick_config(1));
         let mut meter = BudgetMeter::start(&Budget::unlimited().with_max_samples(200));
         assert!(engine
             .estimate_budgeted(&inst, &inst.empty_bindings(), &mut meter)
@@ -728,7 +825,7 @@ mod tests {
         assert_eq!(meter.samples_used(), 200);
         // And when the engine converges early, only the drawn lanes of the
         // final word are charged.
-        let mut engine = SampledEngine::new(quick_config(1).with_eval_mode(cnf::EvalMode::Packed));
+        let mut engine = SampledEngine::new(quick_config(1));
         let mut meter = BudgetMeter::start(&Budget::unlimited().with_max_samples(10_000_000));
         let est = engine
             .estimate_budgeted(&inst, &inst.empty_bindings(), &mut meter)

@@ -12,7 +12,6 @@ use crate::solve::pipeline::SolvePipeline;
 use crate::solve::request::SolveRequest;
 use crate::solve::session::{CdclSessionBackend, IncrementalBackend, SolveSession};
 use crate::symbolic::SymbolicEngine;
-use cnf::EvalMode;
 use sat_solvers::{
     BruteForceSolver, CdclSolver, DpllSolver, Gsat, GsatConfig, ParallelPortfolio, Portfolio,
     Schoening, SchoeningConfig, SharingConfig, TwoSatSolver, WalkSat, WalkSatConfig,
@@ -169,31 +168,17 @@ impl BackendRegistry {
         self.entries.is_empty()
     }
 
-    /// The full default backend set with an explicit evaluation core for
-    /// every backend that has one: the brute-force enumerator, the
-    /// stochastic local-search solvers (directly and inside both
-    /// portfolios), and the Monte-Carlo NBL engines. Backends without a
-    /// packed/scalar distinction (DPLL, CDCL, 2-SAT, the exact NBL engines)
-    /// are registered unchanged. `BackendRegistry::default()` is
-    /// `with_eval_mode(EvalMode::default())`, which in turn is
-    /// [`BackendRegistry::with_modes`] under the default cooperative
-    /// [`SharingConfig`].
-    pub fn with_eval_mode(eval_mode: EvalMode) -> Self {
-        BackendRegistry::with_modes(eval_mode, SharingConfig::default())
-    }
-
-    /// [`BackendRegistry::with_eval_mode`] plus an explicit clause-sharing
+    /// The full default backend set with an explicit clause-sharing
     /// configuration for the `parallel-portfolio` backend (cooperative by
     /// default; pass [`SharingConfig::racing_only`] for the pure racing
-    /// ensemble).
-    pub fn with_modes(eval_mode: EvalMode, sharing: SharingConfig) -> Self {
+    /// ensemble). `BackendRegistry::default()` is `with_sharing` under the
+    /// default cooperative [`SharingConfig`].
+    pub fn with_sharing(sharing: SharingConfig) -> Self {
         let mut registry = BackendRegistry::empty();
-        registry.register("brute-force", move || {
+        registry.register("brute-force", || {
             Box::new(
-                ClassicalBackend::new("brute-force", true, move |_| {
-                    BruteForceSolver::new().with_eval_mode(eval_mode)
-                })
-                .with_var_limit(24),
+                ClassicalBackend::new("brute-force", true, |_| BruteForceSolver::new())
+                    .with_var_limit(24),
             )
         });
         registry.register("dpll", || {
@@ -210,38 +195,35 @@ impl BackendRegistry {
                 TwoSatSolver::new()
             }))
         });
-        registry.register("walksat", move || {
-            Box::new(ClassicalBackend::new("walksat", false, move |seed| {
+        registry.register("walksat", || {
+            Box::new(ClassicalBackend::new("walksat", false, |seed| {
                 WalkSat::with_config(WalkSatConfig {
                     seed,
-                    eval_mode,
                     ..WalkSatConfig::default()
                 })
             }))
         });
-        registry.register("gsat", move || {
-            Box::new(ClassicalBackend::new("gsat", false, move |seed| {
+        registry.register("gsat", || {
+            Box::new(ClassicalBackend::new("gsat", false, |seed| {
                 Gsat::with_config(GsatConfig {
                     seed,
-                    eval_mode,
                     ..GsatConfig::default()
                 })
             }))
         });
-        registry.register("schoening", move || {
-            Box::new(ClassicalBackend::new("schoening", false, move |seed| {
+        registry.register("schoening", || {
+            Box::new(ClassicalBackend::new("schoening", false, |seed| {
                 Schoening::with_config(SchoeningConfig {
                     seed,
-                    eval_mode,
                     ..SchoeningConfig::default()
                 })
             }))
         });
         // The portfolios are seed-aware so the request seed reaches their
         // stochastic members (reseeded per solve, not per construction).
-        registry.register("portfolio", move || {
-            Box::new(ClassicalBackend::new("portfolio", true, move |seed| {
-                Portfolio::new_with_eval_mode(eval_mode).with_seed(seed)
+        registry.register("portfolio", || {
+            Box::new(ClassicalBackend::new("portfolio", true, |seed| {
+                Portfolio::new().with_seed(seed)
             }))
         });
         registry.register("parallel-portfolio", move || {
@@ -249,7 +231,7 @@ impl BackendRegistry {
                 "parallel-portfolio",
                 true,
                 move |seed| {
-                    ParallelPortfolio::new_with_eval_mode(eval_mode)
+                    ParallelPortfolio::new()
                         .with_seed(seed)
                         .with_sharing(sharing)
                 },
@@ -265,19 +247,13 @@ impl BackendRegistry {
                 AlgebraicEngine::new()
             }))
         });
-        registry.register("nbl-sampled", move || {
+        registry.register("nbl-sampled", || {
             Box::new(
-                NblCheckBackend::new("nbl-sampled", false, move |seed| {
-                    SampledEngine::new(
-                        EngineConfig::new()
-                            .with_seed(seed)
-                            .with_eval_mode(eval_mode),
-                    )
+                NblCheckBackend::new("nbl-sampled", false, |seed| {
+                    SampledEngine::new(EngineConfig::new().with_seed(seed))
                 })
-                .with_trace_fn(move |seed, instance, sample_allowance| {
-                    let mut config = EngineConfig::new()
-                        .with_seed(seed)
-                        .with_eval_mode(eval_mode);
+                .with_trace_fn(|seed, instance, sample_allowance| {
+                    let mut config = EngineConfig::new().with_seed(seed);
                     if let Some(allowance) = sample_allowance {
                         config = config.with_max_samples(allowance.min(config.max_samples).max(1));
                     }
@@ -296,13 +272,9 @@ impl BackendRegistry {
                 HybridSolver::with_ideal_coprocessor()
             }))
         });
-        registry.register("hybrid-sampled", move || {
-            Box::new(HybridBackend::new("hybrid-sampled", false, move |seed| {
-                HybridSolver::new(SampledEngine::new(
-                    EngineConfig::new()
-                        .with_seed(seed)
-                        .with_eval_mode(eval_mode),
-                ))
+        registry.register("hybrid-sampled", || {
+            Box::new(HybridBackend::new("hybrid-sampled", false, |seed| {
+                HybridSolver::new(SampledEngine::new(EngineConfig::new().with_seed(seed)))
             }))
         });
         // CDCL is the one engine with true incremental state worth keeping
@@ -331,7 +303,7 @@ impl BackendRegistry {
 
 impl Default for BackendRegistry {
     fn default() -> Self {
-        BackendRegistry::with_eval_mode(EvalMode::default())
+        BackendRegistry::with_sharing(SharingConfig::default())
     }
 }
 
@@ -437,7 +409,7 @@ mod tests {
         assert!(outcome.verdict.is_unsat());
         assert!(outcome.stats.clauses_exported > 0);
         // Racing-only registry: same verdict, zero sharing traffic.
-        let racing = BackendRegistry::with_modes(EvalMode::default(), SharingConfig::racing_only());
+        let racing = BackendRegistry::with_sharing(SharingConfig::racing_only());
         let outcome = racing
             .solve("parallel-portfolio", &SolveRequest::new(&f).seed(1))
             .unwrap();

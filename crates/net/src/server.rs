@@ -36,8 +36,8 @@
 use crate::protocol::{Frame, SolveFrame, WireBacklog, WireVerdict};
 use cnf::{dimacs, Literal};
 use nbl_sat_core::{
-    BackendRegistry, Budget, JobHandle, SessionCall, SessionHandle, SolveOutcome, SolveRequest,
-    SolveService, SolveVerdict, DEFAULT_CACHE_CAPACITY,
+    BackendRegistry, Budget, JobHandle, JobStatus, SessionCall, SessionHandle, SolveOutcome,
+    SolveRequest, SolveService, SolveVerdict, DEFAULT_CACHE_CAPACITY,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
@@ -282,7 +282,9 @@ struct Connection {
     writer: Mutex<BufWriter<TcpStream>>,
     /// Every job this connection submitted, by id; entries live until the
     /// connection closes so `STATUS`/`CANCEL` keep working after completion.
-    jobs: Mutex<HashMap<u64, Arc<JobHandle>>>,
+    /// Once the completion is written the handle (and with it the outcome)
+    /// is dropped and `None` marks the job finished.
+    jobs: Mutex<HashMap<u64, Option<Arc<JobHandle>>>>,
     /// Every session this connection opened, by server-assigned id.
     sessions: Mutex<HashMap<u64, SessionHandle>>,
     /// Cancellation flags of `SESSION ASSUME` solves, by job id; `CANCEL`
@@ -300,6 +302,19 @@ struct Connection {
 }
 
 impl Connection {
+    fn new(stream: TcpStream) -> Self {
+        Connection {
+            writer: Mutex::new(BufWriter::new(stream)),
+            jobs: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(HashMap::new()),
+            session_cancels: Mutex::new(HashMap::new()),
+            next_session: AtomicU64::new(1),
+            next_session_job: AtomicU64::new(0),
+            inflight: Mutex::new(0),
+            drained: Condvar::new(),
+        }
+    }
+
     /// Called by a waiter thread after it wrote (or failed to write) its
     /// job's completion.
     fn completion_written(&self) {
@@ -384,16 +399,7 @@ impl Connection {
 fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     let reader_stream = stream.try_clone()?;
-    let connection = Arc::new(Connection {
-        writer: Mutex::new(BufWriter::new(stream)),
-        jobs: Mutex::new(HashMap::new()),
-        sessions: Mutex::new(HashMap::new()),
-        session_cancels: Mutex::new(HashMap::new()),
-        next_session: AtomicU64::new(1),
-        next_session_job: AtomicU64::new(0),
-        inflight: Mutex::new(0),
-        drained: Condvar::new(),
-    });
+    let connection = Arc::new(Connection::new(stream));
     let served = read_loop(reader_stream, &connection, shared);
     // The client is gone (or told to go): stop spending budget on its
     // unfinished jobs. This must run no matter how the read loop ended —
@@ -402,8 +408,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::R
         .jobs
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    for handle in jobs.values() {
-        if handle.status() != nbl_sat_core::JobStatus::Finished {
+    for handle in jobs.values().flatten() {
+        if handle.status() != JobStatus::Finished {
             handle.cancel();
         }
     }
@@ -467,7 +473,9 @@ fn handle_frame(
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             match jobs.get(&job) {
-                Some(handle) => handle.cancel(),
+                Some(Some(handle)) => handle.cancel(),
+                // Finished: nothing left to cancel.
+                Some(None) => {}
                 None => {
                     drop(jobs);
                     let cancels = connection
@@ -490,8 +498,11 @@ fn handle_frame(
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             match jobs.get(&job) {
-                Some(handle) => {
-                    let status = handle.status().into();
+                Some(entry) => {
+                    let status = entry
+                        .as_ref()
+                        .map_or(JobStatus::Finished, |handle| handle.status())
+                        .into();
                     drop(jobs);
                     connection.send(&Frame::Info {
                         job,
@@ -625,7 +636,7 @@ fn handle_solve(
         .jobs
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .insert(job, Arc::clone(&handle));
+        .insert(job, Some(Arc::clone(&handle)));
     *connection
         .inflight
         .lock()
@@ -643,6 +654,14 @@ fn handle_solve(
         // A send failing means the client is gone; the reader thread notices
         // the same condition and cleans up, nothing to do here.
         let _ = written;
+        // Keep only the finished marker: the outcome is on the wire, and
+        // holding it until the connection closes would grow memory with
+        // every job the client ever sent.
+        connection
+            .jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(job, None);
         connection.completion_written();
     });
     Ok(())
@@ -796,4 +815,63 @@ fn live_backlog(service: &SolveService) -> WireBacklog {
 /// Used by the client to deterministically unblock its reader thread.
 pub(crate) fn shutdown_stream(stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::WireJobStatus;
+
+    #[test]
+    fn finished_jobs_keep_only_a_marker() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let connection = Arc::new(Connection::new(listener.accept().unwrap().0));
+        let shared = Arc::new(ServerShared {
+            service: SolveService::builder(&BackendRegistry::default())
+                .workers(1)
+                .start(),
+            stop: AtomicBool::new(false),
+            stopped: Condvar::new(),
+            stopped_lock: Mutex::new(false),
+        });
+        let solve = SolveFrame::new("cdcl", "p cnf 2 2\n1 2 0\n-1 -2 0\n");
+        for _ in 0..3 {
+            handle_solve(solve.clone(), &connection, &shared).unwrap();
+        }
+        connection.drain_completions();
+        let jobs = connection.jobs.lock().unwrap();
+        assert_eq!(jobs.len(), 3);
+        assert!(
+            jobs.values().all(Option::is_none),
+            "a finished job still holds its handle"
+        );
+        drop(jobs);
+
+        // The marker still answers STATUS, CANCEL stays a no-op, and an
+        // unknown id still gets ERR.
+        for frame in [
+            Frame::Cancel { job: 0 },
+            Frame::Status { job: 0 },
+            Frame::Status { job: 3 },
+        ] {
+            assert!(handle_frame(frame, &connection, &shared).unwrap());
+        }
+        let mut reader = BufReader::new(client);
+        let mut frames = Vec::new();
+        while frames.len() < 11 {
+            frames.push(Frame::read_from(&mut reader).unwrap().unwrap());
+        }
+        // Three QUEUED acks plus a `v`-line and RESULT per job come first.
+        assert!(matches!(
+            frames[9],
+            Frame::Info {
+                job: 0,
+                status: WireJobStatus::Finished,
+                ..
+            }
+        ));
+        assert!(matches!(frames[10], Frame::Error { job: Some(3), .. }));
+        shared.service.shutdown();
+    }
 }

@@ -3,7 +3,7 @@
 use crate::limits::SearchLimits;
 use crate::solver::{SolveResult, Solver, SolverStats};
 use cnf::bits::WORD_BITS;
-use cnf::{Assignment, AssignmentBlock, CnfFormula, EvalMode, PackedFormula};
+use cnf::{Assignment, AssignmentBlock, CnfFormula, PackedFormula};
 
 /// A brute-force solver that enumerates all `2^n` assignments.
 ///
@@ -19,13 +19,18 @@ use cnf::{Assignment, AssignmentBlock, CnfFormula, EvalMode, PackedFormula};
 /// assert!(solver.solve(&cnf_formula![[1, 2], [-1, -2]]).is_sat());
 /// assert!(solver.solve(&cnf_formula![[1], [-1]]).is_unsat());
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct BruteForceSolver {
     stats: SolverStats,
     /// Refuse instances with more variables than this (guard against
     /// accidental exponential blow-up). Default: 24.
     max_vars: usize,
-    eval_mode: EvalMode,
+}
+
+impl Default for BruteForceSolver {
+    fn default() -> Self {
+        BruteForceSolver::new()
+    }
 }
 
 impl BruteForceSolver {
@@ -34,7 +39,6 @@ impl BruteForceSolver {
         BruteForceSolver {
             stats: SolverStats::default(),
             max_vars: 24,
-            eval_mode: EvalMode::default(),
         }
     }
 
@@ -42,27 +46,6 @@ impl BruteForceSolver {
     pub fn with_max_vars(mut self, max_vars: usize) -> Self {
         self.max_vars = max_vars;
         self
-    }
-
-    /// Selects the evaluation core (packed enumerates 64 minterms per word
-    /// op; scalar is the one-at-a-time reference). Results are identical.
-    pub fn with_eval_mode(mut self, eval_mode: EvalMode) -> Self {
-        self.eval_mode = eval_mode;
-        self
-    }
-
-    /// Scalar enumeration: one minterm at a time, in index order.
-    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
-        for assignment in Assignment::enumerate_all(formula.num_vars()) {
-            if limits.expired() {
-                return SolveResult::Unknown;
-            }
-            self.stats.assignments_tried += 1;
-            if formula.evaluate(&assignment) {
-                return SolveResult::Satisfiable(assignment);
-            }
-        }
-        SolveResult::Unsatisfiable
     }
 
     /// Packed enumeration: 64 minterms per block, still reporting the first
@@ -104,10 +87,7 @@ impl Solver for BruteForceSolver {
             formula.num_vars()
         );
         self.stats = SolverStats::default();
-        match self.eval_mode {
-            EvalMode::Scalar => self.solve_scalar(formula, limits),
-            EvalMode::Packed => self.solve_packed(formula, limits),
-        }
+        self.solve_packed(formula, limits)
     }
 
     fn stats(&self) -> SolverStats {
@@ -116,6 +96,27 @@ impl Solver for BruteForceSolver {
 
     fn name(&self) -> &'static str {
         "brute-force"
+    }
+}
+
+/// The scalar enumeration [`BruteForceSolver`] ran before the packed core
+/// became its only one: a test-only oracle, kept verbatim, that the
+/// production enumeration must match bit for bit (result and
+/// [`SolverStats`]).
+#[cfg(test)]
+impl BruteForceSolver {
+    /// Scalar enumeration: one minterm at a time, in index order.
+    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
+        for assignment in Assignment::enumerate_all(formula.num_vars()) {
+            if limits.expired() {
+                return SolveResult::Unknown;
+            }
+            self.stats.assignments_tried += 1;
+            if formula.evaluate(&assignment) {
+                return SolveResult::Satisfiable(assignment);
+            }
+        }
+        SolveResult::Unsatisfiable
     }
 }
 
@@ -168,24 +169,34 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_scalar_enumeration_agree() {
+    fn default_solves_like_new() {
+        // A derived `Default` would set a 0-variable limit and panic here.
+        let f = generators::example6_sat();
+        let mut default = BruteForceSolver::default();
+        let mut new = BruteForceSolver::new();
+        let result = default.solve(&f);
+        assert!(result.is_sat());
+        assert_eq!(result, new.solve(&f));
+        assert_eq!(default.stats(), new.stats());
+    }
+
+    #[test]
+    fn enumeration_matches_the_scalar_reference() {
         use cnf::generators::RandomKSatConfig;
-        let mut formulas = vec![
-            generators::example6_sat(),
-            generators::example7_unsat(),
-            generators::section4_sat_instance(),
-            generators::section4_unsat_instance(),
+        let mut formulas = crate::solver::reference_instances();
+        formulas.extend([
             cnf::CnfFormula::new(0),
             // 7 vars spans two blocks of 64 minterms.
             generators::random_ksat(&RandomKSatConfig::new(7, 30, 3).with_seed(4)).unwrap(),
-        ];
+        ]);
         let mut with_empty = cnf::CnfFormula::new(2);
         with_empty.push_clause(cnf::Clause::new());
         formulas.push(with_empty);
         for f in formulas {
-            let mut scalar = BruteForceSolver::new().with_eval_mode(EvalMode::Scalar);
-            let mut packed = BruteForceSolver::new().with_eval_mode(EvalMode::Packed);
-            assert_eq!(scalar.solve(&f), packed.solve(&f), "formula {f}");
+            let mut scalar = BruteForceSolver::new();
+            let mut packed = BruteForceSolver::new();
+            let expected = scalar.solve_scalar(&f, &SearchLimits::unlimited());
+            assert_eq!(packed.solve(&f), expected, "formula {f}");
             assert_eq!(scalar.stats(), packed.stats(), "formula {f}");
         }
     }

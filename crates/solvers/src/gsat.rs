@@ -1,10 +1,12 @@
 //! GSAT greedy local search.
 
 use crate::limits::SearchLimits;
-use crate::score::{self, FlipScorer};
+#[cfg(test)]
+use crate::score;
+use crate::score::FlipScorer;
 use crate::share::ShareHandle;
 use crate::solver::{SolveResult, Solver, SolverStats};
-use cnf::{Assignment, BitVector, CnfFormula, EvalMode, Variable};
+use cnf::{Assignment, BitVector, CnfFormula, Variable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,9 +21,6 @@ pub struct GsatConfig {
     pub allow_sideways: bool,
     /// PRNG seed; the search is deterministic for a fixed seed.
     pub seed: u64,
-    /// Evaluation core: packed (all gains in one clause sweep) or the scalar
-    /// reference path. Both produce bit-identical searches.
-    pub eval_mode: EvalMode,
 }
 
 impl Default for GsatConfig {
@@ -31,7 +30,6 @@ impl Default for GsatConfig {
             max_restarts: 10,
             allow_sideways: true,
             seed: 0,
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -96,58 +94,6 @@ impl Gsat {
         });
         self.share = Some(share);
         self.stats.clauses_imported += imported;
-    }
-
-    /// Net change in the number of satisfied clauses if `var` were flipped.
-    fn flip_gain(formula: &CnfFormula, assignment: &Assignment, var: Variable) -> i64 {
-        score::flip_gain(formula, assignment, var)
-    }
-
-    /// The scalar reference search: gains recomputed one variable at a time.
-    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut soft = CnfFormula::new(formula.num_vars());
-        for _ in 0..self.config.max_restarts.max(1) {
-            self.import_soft(&mut soft);
-            self.stats.restarts += 1;
-            let mut assignment =
-                Assignment::from_bools((0..formula.num_vars()).map(|_| rng.gen()).collect());
-            self.stats.assignments_tried += 1;
-            for _ in 0..self.config.max_flips {
-                if limits.expired() {
-                    return SolveResult::Unknown;
-                }
-                if formula.evaluate(&assignment) {
-                    return SolveResult::Satisfiable(assignment);
-                }
-                // Greedy step: find the maximum-gain flip.
-                let mut best_gain = i64::MIN;
-                let mut best_vars: Vec<Variable> = Vec::new();
-                for var in formula.variables() {
-                    // The empty soft formula contributes zero gain, so the
-                    // baseline (racing) search is untouched without imports.
-                    let gain = Self::flip_gain(formula, &assignment, var)
-                        + score::flip_gain(&soft, &assignment, var);
-                    if gain > best_gain {
-                        best_gain = gain;
-                        best_vars.clear();
-                        best_vars.push(var);
-                    } else if gain == best_gain {
-                        best_vars.push(var);
-                    }
-                }
-                if best_gain < 0 || (best_gain == 0 && !self.config.allow_sideways) {
-                    break; // local minimum -> restart
-                }
-                let var = best_vars[rng.gen_range(0..best_vars.len())];
-                assignment.set(var, !assignment.value(var));
-                self.stats.flips += 1;
-            }
-            if formula.evaluate(&assignment) {
-                return SolveResult::Satisfiable(assignment);
-            }
-        }
-        SolveResult::Unknown
     }
 
     /// The packed search: identical RNG stream and tie list, but the
@@ -238,10 +184,7 @@ impl Solver for Gsat {
         if formula.num_vars() == 0 {
             return SolveResult::Satisfiable(Assignment::from_bools(Vec::new()));
         }
-        match self.config.eval_mode {
-            EvalMode::Scalar => self.solve_scalar(formula, limits),
-            EvalMode::Packed => self.solve_packed(formula, limits),
-        }
+        self.solve_packed(formula, limits)
     }
 
     fn stats(&self) -> SolverStats {
@@ -265,11 +208,95 @@ impl Solver for Gsat {
     }
 }
 
+/// The scalar search [`Gsat`] ran before the packed core became its only
+/// one: a test-only oracle, kept verbatim, that the production search must
+/// match bit for bit (result and [`SolverStats`]).
+#[cfg(test)]
+impl Gsat {
+    /// Net change in the number of satisfied clauses if `var` were flipped.
+    fn flip_gain(formula: &CnfFormula, assignment: &Assignment, var: Variable) -> i64 {
+        score::flip_gain(formula, assignment, var)
+    }
+
+    /// The scalar reference search: gains recomputed one variable at a time.
+    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut soft = CnfFormula::new(formula.num_vars());
+        for _ in 0..self.config.max_restarts.max(1) {
+            self.import_soft(&mut soft);
+            self.stats.restarts += 1;
+            let mut assignment =
+                Assignment::from_bools((0..formula.num_vars()).map(|_| rng.gen()).collect());
+            self.stats.assignments_tried += 1;
+            for _ in 0..self.config.max_flips {
+                if limits.expired() {
+                    return SolveResult::Unknown;
+                }
+                if formula.evaluate(&assignment) {
+                    return SolveResult::Satisfiable(assignment);
+                }
+                // Greedy step: find the maximum-gain flip.
+                let mut best_gain = i64::MIN;
+                let mut best_vars: Vec<Variable> = Vec::new();
+                for var in formula.variables() {
+                    // The empty soft formula contributes zero gain, so the
+                    // baseline (racing) search is untouched without imports.
+                    let gain = Self::flip_gain(formula, &assignment, var)
+                        + score::flip_gain(&soft, &assignment, var);
+                    if gain > best_gain {
+                        best_gain = gain;
+                        best_vars.clear();
+                        best_vars.push(var);
+                    } else if gain == best_gain {
+                        best_vars.push(var);
+                    }
+                }
+                if best_gain < 0 || (best_gain == 0 && !self.config.allow_sideways) {
+                    break; // local minimum -> restart
+                }
+                let var = best_vars[rng.gen_range(0..best_vars.len())];
+                assignment.set(var, !assignment.value(var));
+                self.stats.flips += 1;
+            }
+            if formula.evaluate(&assignment) {
+                return SolveResult::Satisfiable(assignment);
+            }
+        }
+        SolveResult::Unknown
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cnf::cnf_formula;
     use cnf::generators::{self, RandomKSatConfig};
+
+    /// The production search and the scalar reference, as interchangeable
+    /// runs on a freshly built solver.
+    const RUNS: [fn(&mut Gsat, &CnfFormula) -> SolveResult; 2] = [
+        |solver, formula| solver.solve(formula),
+        |solver, formula| solver.solve_scalar(formula, &SearchLimits::unlimited()),
+    ];
+
+    #[test]
+    fn search_matches_the_scalar_reference() {
+        for seed in [0u64, 7, 42] {
+            let config = GsatConfig {
+                seed,
+                max_flips: 500,
+                max_restarts: 4,
+                ..GsatConfig::default()
+            };
+            for formula in crate::solver::reference_instances() {
+                let [packed, scalar] = RUNS.map(|run| {
+                    let mut solver = Gsat::with_config(config);
+                    (run(&mut solver, &formula), solver.stats())
+                });
+                assert_eq!(packed, scalar, "seed {seed} diverged on {formula}");
+            }
+        }
+    }
 
     #[test]
     fn solves_small_satisfiable_instances() {
@@ -340,12 +367,12 @@ mod tests {
     fn soft_imports_bias_but_never_decide() {
         use crate::share::{ShareHandle, SharedClausePool};
         use std::sync::Arc;
-        for mode in [EvalMode::Scalar, EvalMode::Packed] {
-            for seed in 0..5 {
-                let formula = generators::random_ksat(
-                    &RandomKSatConfig::from_ratio(12, 2.0, 3).with_seed(seed),
-                )
-                .unwrap();
+        for seed in 0..5 {
+            let formula =
+                generators::random_ksat(&RandomKSatConfig::from_ratio(12, 2.0, 3).with_seed(seed))
+                    .unwrap();
+            // Each run gets its own, identically seeded pool.
+            let [packed, scalar] = RUNS.map(|run| {
                 let pool = Arc::new(SharedClausePool::default());
                 let foreign = ShareHandle::new(Arc::clone(&pool), 1);
                 // Original clauses are trivially implied by the formula, so
@@ -354,19 +381,20 @@ mod tests {
                     assert!(foreign.export(clause.literals(), 2));
                 }
                 let mut solver = Gsat::with_config(GsatConfig {
-                    eval_mode: mode,
                     seed: 7,
                     ..GsatConfig::default()
                 });
                 solver.attach_share(ShareHandle::new(Arc::clone(&pool), 0));
-                let result = solver.solve(&formula);
+                let result = run(&mut solver, &formula);
                 assert!(solver.stats().clauses_imported > 0);
                 // Soft clauses only bias scoring: any SAT answer still
                 // carries a model of the *hard* formula.
                 if let Some(model) = result.model() {
                     assert!(formula.evaluate(model));
                 }
-            }
+                (result, solver.stats())
+            });
+            assert_eq!(packed, scalar, "seed {seed} diverged from the reference");
         }
     }
 
@@ -376,22 +404,23 @@ mod tests {
         use std::sync::Arc;
         let formula =
             generators::random_ksat(&RandomKSatConfig::new(12, 40, 3).with_seed(7)).unwrap();
-        for mode in [EvalMode::Scalar, EvalMode::Packed] {
-            let config = GsatConfig {
-                eval_mode: mode,
-                seed: 11,
-                ..GsatConfig::default()
-            };
+        let config = GsatConfig {
+            seed: 11,
+            ..GsatConfig::default()
+        };
+        let [packed, scalar] = RUNS.map(|run| {
             let mut baseline = Gsat::with_config(config);
-            let expected = baseline.solve(&formula);
+            let expected = run(&mut baseline, &formula);
             let mut cooperative = Gsat::with_config(config);
             let pool = Arc::new(SharedClausePool::default());
             cooperative.attach_share(ShareHandle::new(pool, 0));
             // Nothing to import: the search must be byte-identical.
-            assert_eq!(cooperative.solve(&formula), expected);
+            assert_eq!(run(&mut cooperative, &formula), expected);
             assert_eq!(cooperative.stats().clauses_imported, 0);
             assert_eq!(cooperative.stats().flips, baseline.stats().flips);
-        }
+            (expected, baseline.stats())
+        });
+        assert_eq!(packed, scalar);
     }
 
     #[test]

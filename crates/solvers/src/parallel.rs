@@ -8,10 +8,10 @@
 //! the first definitive answer cancels the rest.
 
 use crate::limits::SearchLimits;
-use crate::portfolio::{accumulate, default_members, default_members_with, member_seed};
+use crate::portfolio::{accumulate, default_members, member_seed};
 use crate::share::{ShareHandle, SharedClausePool, SharingConfig};
 use crate::solver::{SolveResult, Solver, SolverStats};
-use cnf::{CnfFormula, EvalMode};
+use cnf::CnfFormula;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -107,12 +107,6 @@ impl ParallelPortfolio {
     /// two are directly comparable).
     pub fn new() -> Self {
         ParallelPortfolio::with_members(default_members())
-    }
-
-    /// Creates the default racing portfolio with an explicit evaluation core
-    /// for the members that have scalar/packed paths.
-    pub fn new_with_eval_mode(eval_mode: EvalMode) -> Self {
-        ParallelPortfolio::with_members(default_members_with(eval_mode))
     }
 
     /// Creates a racing portfolio from an explicit member list.

@@ -5,7 +5,7 @@ use crate::limits::SearchLimits;
 use crate::solver::{SolveResult, Solver, SolverStats};
 use crate::two_sat::TwoSatSolver;
 use crate::walksat::{WalkSat, WalkSatConfig};
-use cnf::{CnfFormula, EvalMode};
+use cnf::CnfFormula;
 use std::fmt;
 
 /// Derives a per-member seed from a portfolio seed and the member's index
@@ -76,16 +76,9 @@ impl Default for Portfolio {
 /// [`crate::ParallelPortfolio::new`]: 2-SAT, a short WalkSAT burst, CDCL.
 /// One definition keeps the sequential and racing portfolios comparable.
 pub(crate) fn default_members() -> Vec<Box<dyn Solver + Send>> {
-    default_members_with(EvalMode::default())
-}
-
-/// [`default_members`] with an explicit evaluation core for the members that
-/// have scalar/packed paths.
-pub(crate) fn default_members_with(eval_mode: EvalMode) -> Vec<Box<dyn Solver + Send>> {
     let walksat = WalkSat::with_config(WalkSatConfig {
         max_flips: 2_000,
         max_restarts: 2,
-        eval_mode,
         ..WalkSatConfig::default()
     });
     vec![
@@ -99,12 +92,6 @@ impl Portfolio {
     /// Creates the default three-member portfolio (2-SAT, WalkSAT, CDCL).
     pub fn new() -> Self {
         Portfolio::with_members(default_members())
-    }
-
-    /// Creates the default portfolio with an explicit evaluation core for
-    /// the members that have scalar/packed paths.
-    pub fn new_with_eval_mode(eval_mode: EvalMode) -> Self {
-        Portfolio::with_members(default_members_with(eval_mode))
     }
 
     /// Creates a portfolio from an explicit member list (tried in order).

@@ -2,7 +2,7 @@
 
 use crate::limits::SearchLimits;
 use crate::solver::{SolveResult, Solver, SolverStats};
-use cnf::{Assignment, BitVector, CnfFormula, EvalMode, PackedFormula};
+use cnf::{Assignment, BitVector, CnfFormula, PackedFormula};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -16,10 +16,6 @@ pub struct SchoeningConfig {
     pub walk_length_factor: u64,
     /// PRNG seed; the search is deterministic for a fixed seed.
     pub seed: u64,
-    /// Evaluation core: packed (64 variables per word in the unsatisfied
-    /// clause scan) or the scalar reference path. Both produce bit-identical
-    /// walks.
-    pub eval_mode: EvalMode,
 }
 
 impl Default for SchoeningConfig {
@@ -28,7 +24,6 @@ impl Default for SchoeningConfig {
             max_restarts: 200,
             walk_length_factor: 3,
             seed: 0,
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -68,35 +63,6 @@ impl Schoening {
             config,
             stats: SolverStats::default(),
         }
-    }
-
-    /// The scalar reference walk: clause checks one literal at a time.
-    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
-        let n = formula.num_vars();
-        let walk_length = (self.config.walk_length_factor.max(1)) * n as u64;
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        for _ in 0..self.config.max_restarts.max(1) {
-            self.stats.restarts += 1;
-            let mut assignment = Assignment::from_bools((0..n).map(|_| rng.gen()).collect());
-            self.stats.assignments_tried += 1;
-            for _ in 0..walk_length {
-                if limits.expired() {
-                    return SolveResult::Unknown;
-                }
-                let unsatisfied = formula.iter().find(|clause| !clause.evaluate(&assignment));
-                let Some(clause) = unsatisfied else {
-                    return SolveResult::Satisfiable(assignment);
-                };
-                let lit = clause.literals()[rng.gen_range(0..clause.len())];
-                let var = lit.variable();
-                assignment.set(var, !assignment.value(var));
-                self.stats.flips += 1;
-            }
-            if formula.evaluate(&assignment) {
-                return SolveResult::Satisfiable(assignment);
-            }
-        }
-        SolveResult::Unknown
     }
 
     /// The packed walk: identical RNG stream, but the first-unsatisfied
@@ -147,10 +113,7 @@ impl Solver for Schoening {
         if formula.num_vars() == 0 {
             return SolveResult::Satisfiable(Assignment::from_bools(Vec::new()));
         }
-        match self.config.eval_mode {
-            EvalMode::Scalar => self.solve_scalar(formula, limits),
-            EvalMode::Packed => self.solve_packed(formula, limits),
-        }
+        self.solve_packed(formula, limits)
     }
 
     fn stats(&self) -> SolverStats {
@@ -166,11 +129,64 @@ impl Solver for Schoening {
     }
 }
 
+/// The scalar walk [`Schoening`] ran before the packed core became its only
+/// one: a test-only oracle, kept verbatim, that the production walk must
+/// match bit for bit (result and [`SolverStats`]).
+#[cfg(test)]
+impl Schoening {
+    /// The scalar reference walk: clause checks one literal at a time.
+    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
+        let n = formula.num_vars();
+        let walk_length = (self.config.walk_length_factor.max(1)) * n as u64;
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        for _ in 0..self.config.max_restarts.max(1) {
+            self.stats.restarts += 1;
+            let mut assignment = Assignment::from_bools((0..n).map(|_| rng.gen()).collect());
+            self.stats.assignments_tried += 1;
+            for _ in 0..walk_length {
+                if limits.expired() {
+                    return SolveResult::Unknown;
+                }
+                let unsatisfied = formula.iter().find(|clause| !clause.evaluate(&assignment));
+                let Some(clause) = unsatisfied else {
+                    return SolveResult::Satisfiable(assignment);
+                };
+                let lit = clause.literals()[rng.gen_range(0..clause.len())];
+                let var = lit.variable();
+                assignment.set(var, !assignment.value(var));
+                self.stats.flips += 1;
+            }
+            if formula.evaluate(&assignment) {
+                return SolveResult::Satisfiable(assignment);
+            }
+        }
+        SolveResult::Unknown
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cnf::cnf_formula;
     use cnf::generators::{self, RandomKSatConfig};
+
+    #[test]
+    fn walk_matches_the_scalar_reference() {
+        for seed in [0u64, 7, 42] {
+            let config = SchoeningConfig {
+                seed,
+                max_restarts: 30,
+                ..SchoeningConfig::default()
+            };
+            for formula in crate::solver::reference_instances() {
+                let mut packed = Schoening::with_config(config);
+                let mut scalar = Schoening::with_config(config);
+                let expected = scalar.solve_scalar(&formula, &SearchLimits::unlimited());
+                assert_eq!(packed.solve(&formula), expected, "seed {seed}: {formula}");
+                assert_eq!(packed.stats(), scalar.stats(), "seed {seed}: {formula}");
+            }
+        }
+    }
 
     #[test]
     fn solves_worked_examples() {
@@ -250,7 +266,6 @@ mod tests {
             max_restarts: 4,
             walk_length_factor: 3,
             seed: 1,
-            eval_mode: EvalMode::default(),
         });
         assert_eq!(solver.solve(&formula), SolveResult::Unknown);
         assert_eq!(solver.stats().flips, 4 * 3 * 6);

@@ -150,6 +150,26 @@ pub trait Solver {
     fn name(&self) -> &'static str;
 }
 
+/// The corpus the packed local searches and brute force are checked
+/// against their scalar reference oracles on: the paper's worked examples
+/// (two SAT, two UNSAT) and four random 3-SAT formulas (n=16, m=60).
+#[cfg(test)]
+pub(crate) fn reference_instances() -> Vec<CnfFormula> {
+    use cnf::generators::{self, RandomKSatConfig};
+    let mut instances = vec![
+        generators::example6_sat(),
+        generators::example7_unsat(),
+        generators::section4_sat_instance(),
+        generators::section4_unsat_instance(),
+    ];
+    for seed in 0..4u64 {
+        instances.push(
+            generators::random_ksat(&RandomKSatConfig::new(16, 60, 3).with_seed(seed)).unwrap(),
+        );
+    }
+    instances
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@ use crate::limits::SearchLimits;
 use crate::score::{self, FlipScorer};
 use crate::share::ShareHandle;
 use crate::solver::{SolveResult, Solver, SolverStats};
-use cnf::{Assignment, BitVector, CnfFormula, EvalMode, Variable};
+use cnf::{Assignment, BitVector, CnfFormula, Variable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,9 +19,6 @@ pub struct WalkSatConfig {
     pub max_restarts: u64,
     /// PRNG seed (the search is deterministic for a fixed seed).
     pub seed: u64,
-    /// Evaluation core: packed (64 candidate flips per word) or the scalar
-    /// reference path. Both produce bit-identical searches.
-    pub eval_mode: EvalMode,
 }
 
 impl Default for WalkSatConfig {
@@ -31,7 +28,6 @@ impl Default for WalkSatConfig {
             max_flips: 10_000,
             max_restarts: 10,
             seed: 0,
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -98,57 +94,6 @@ impl WalkSat {
     /// Number of clauses that would become unsatisfied by flipping `var`.
     fn break_count(formula: &CnfFormula, assignment: &Assignment, var: Variable) -> usize {
         score::break_count(formula, assignment, var)
-    }
-
-    /// The scalar reference search: one assignment and one candidate flip at
-    /// a time over `Vec<bool>` structures.
-    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut soft = CnfFormula::new(formula.num_vars());
-        for _ in 0..self.config.max_restarts.max(1) {
-            self.import_soft(&mut soft);
-            // Random initial assignment.
-            let mut assignment =
-                Assignment::from_bools((0..formula.num_vars()).map(|_| rng.gen()).collect());
-            self.stats.assignments_tried += 1;
-            for _ in 0..self.config.max_flips {
-                if limits.expired() {
-                    return SolveResult::Unknown;
-                }
-                let unsatisfied: Vec<usize> = formula
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| !c.evaluate(&assignment))
-                    .map(|(i, _)| i)
-                    .collect();
-                if unsatisfied.is_empty() {
-                    debug_assert!(formula.evaluate(&assignment));
-                    return SolveResult::Satisfiable(assignment);
-                }
-                let clause = formula
-                    .clause(unsatisfied[rng.gen_range(0..unsatisfied.len())])
-                    .expect("index valid");
-                let var = if rng.gen_bool(self.config.noise) {
-                    clause.literals()[rng.gen_range(0..clause.len())].variable()
-                } else {
-                    // Imported soft clauses join the break score: a flip that
-                    // would violate shared knowledge is penalized, but the
-                    // empty soft formula contributes zero and leaves the
-                    // baseline search untouched.
-                    clause
-                        .iter()
-                        .map(|l| l.variable())
-                        .min_by_key(|&v| {
-                            Self::break_count(formula, &assignment, v)
-                                + score::break_count(&soft, &assignment, v)
-                        })
-                        .expect("clause non-empty")
-                };
-                assignment.set(var, !assignment.value(var));
-                self.stats.flips += 1;
-            }
-        }
-        SolveResult::Unknown
     }
 
     /// The packed search: identical RNG stream and tie-breaking, but clause
@@ -252,10 +197,7 @@ impl Solver for WalkSat {
         if formula.num_vars() == 0 {
             return SolveResult::Satisfiable(Assignment::from_bools(Vec::new()));
         }
-        match self.config.eval_mode {
-            EvalMode::Scalar => self.solve_scalar(formula, limits),
-            EvalMode::Packed => self.solve_packed(formula, limits),
-        }
+        self.solve_packed(formula, limits)
     }
 
     fn stats(&self) -> SolverStats {
@@ -279,11 +221,94 @@ impl Solver for WalkSat {
     }
 }
 
+/// The scalar search [`WalkSat`] ran before the packed core became its only
+/// one: a test-only oracle, kept verbatim, that the production search must
+/// match bit for bit (result and [`SolverStats`]).
+#[cfg(test)]
+impl WalkSat {
+    /// The scalar reference search: one assignment and one candidate flip at
+    /// a time over `Vec<bool>` structures.
+    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut soft = CnfFormula::new(formula.num_vars());
+        for _ in 0..self.config.max_restarts.max(1) {
+            self.import_soft(&mut soft);
+            // Random initial assignment.
+            let mut assignment =
+                Assignment::from_bools((0..formula.num_vars()).map(|_| rng.gen()).collect());
+            self.stats.assignments_tried += 1;
+            for _ in 0..self.config.max_flips {
+                if limits.expired() {
+                    return SolveResult::Unknown;
+                }
+                let unsatisfied: Vec<usize> = formula
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| !c.evaluate(&assignment))
+                    .map(|(i, _)| i)
+                    .collect();
+                if unsatisfied.is_empty() {
+                    debug_assert!(formula.evaluate(&assignment));
+                    return SolveResult::Satisfiable(assignment);
+                }
+                let clause = formula
+                    .clause(unsatisfied[rng.gen_range(0..unsatisfied.len())])
+                    .expect("index valid");
+                let var = if rng.gen_bool(self.config.noise) {
+                    clause.literals()[rng.gen_range(0..clause.len())].variable()
+                } else {
+                    // Imported soft clauses join the break score: a flip that
+                    // would violate shared knowledge is penalized, but the
+                    // empty soft formula contributes zero and leaves the
+                    // baseline search untouched.
+                    clause
+                        .iter()
+                        .map(|l| l.variable())
+                        .min_by_key(|&v| {
+                            Self::break_count(formula, &assignment, v)
+                                + score::break_count(&soft, &assignment, v)
+                        })
+                        .expect("clause non-empty")
+                };
+                assignment.set(var, !assignment.value(var));
+                self.stats.flips += 1;
+            }
+        }
+        SolveResult::Unknown
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cnf::cnf_formula;
     use cnf::generators::{self, RandomKSatConfig};
+
+    /// The production search and the scalar reference, as interchangeable
+    /// runs on a freshly built solver.
+    const RUNS: [fn(&mut WalkSat, &CnfFormula) -> SolveResult; 2] = [
+        |solver, formula| solver.solve(formula),
+        |solver, formula| solver.solve_scalar(formula, &SearchLimits::unlimited()),
+    ];
+
+    #[test]
+    fn search_matches_the_scalar_reference() {
+        for seed in [0u64, 7, 42] {
+            let config = WalkSatConfig {
+                seed,
+                max_flips: 2_000,
+                max_restarts: 4,
+                ..WalkSatConfig::default()
+            };
+            for formula in crate::solver::reference_instances() {
+                let [packed, scalar] = RUNS.map(|run| {
+                    let mut solver = WalkSat::with_config(config);
+                    (run(&mut solver, &formula), solver.stats())
+                });
+                assert_eq!(packed, scalar, "seed {seed} diverged on {formula}");
+            }
+        }
+    }
 
     #[test]
     fn finds_models_for_satisfiable_instances() {
@@ -379,12 +404,12 @@ mod tests {
     fn soft_imports_bias_but_never_decide() {
         use crate::share::{ShareHandle, SharedClausePool};
         use std::sync::Arc;
-        for mode in [EvalMode::Scalar, EvalMode::Packed] {
-            for seed in 0..5 {
-                let f = generators::random_ksat(
-                    &RandomKSatConfig::from_ratio(12, 2.0, 3).with_seed(seed),
-                )
-                .unwrap();
+        for seed in 0..5 {
+            let f =
+                generators::random_ksat(&RandomKSatConfig::from_ratio(12, 2.0, 3).with_seed(seed))
+                    .unwrap();
+            // Each run gets its own, identically seeded pool.
+            let [packed, scalar] = RUNS.map(|run| {
                 let pool = Arc::new(SharedClausePool::default());
                 let foreign = ShareHandle::new(Arc::clone(&pool), 1);
                 // Original clauses are trivially implied by the formula, so
@@ -393,19 +418,20 @@ mod tests {
                     assert!(foreign.export(clause.literals(), 2));
                 }
                 let mut solver = WalkSat::with_config(WalkSatConfig {
-                    eval_mode: mode,
                     seed: 7,
                     ..WalkSatConfig::default()
                 });
                 solver.attach_share(ShareHandle::new(Arc::clone(&pool), 0));
-                let result = solver.solve(&f);
+                let result = run(&mut solver, &f);
                 assert!(solver.stats().clauses_imported > 0);
                 // Soft clauses only bias scoring: any SAT answer still
                 // carries a model of the *hard* formula.
                 if let Some(model) = result.model() {
                     assert!(f.evaluate(model));
                 }
-            }
+                (result, solver.stats())
+            });
+            assert_eq!(packed, scalar, "seed {seed} diverged from the reference");
         }
     }
 
@@ -414,22 +440,23 @@ mod tests {
         use crate::share::{ShareHandle, SharedClausePool};
         use std::sync::Arc;
         let f = generators::random_ksat(&RandomKSatConfig::new(12, 40, 3).with_seed(3)).unwrap();
-        for mode in [EvalMode::Scalar, EvalMode::Packed] {
-            let config = WalkSatConfig {
-                eval_mode: mode,
-                seed: 11,
-                ..WalkSatConfig::default()
-            };
+        let config = WalkSatConfig {
+            seed: 11,
+            ..WalkSatConfig::default()
+        };
+        let [packed, scalar] = RUNS.map(|run| {
             let mut baseline = WalkSat::with_config(config);
-            let expected = baseline.solve(&f);
+            let expected = run(&mut baseline, &f);
             let mut cooperative = WalkSat::with_config(config);
             let pool = Arc::new(SharedClausePool::default());
             cooperative.attach_share(ShareHandle::new(pool, 0));
             // Nothing to import: the search must be byte-identical.
-            assert_eq!(cooperative.solve(&f), expected);
+            assert_eq!(run(&mut cooperative, &f), expected);
             assert_eq!(cooperative.stats().clauses_imported, 0);
             assert_eq!(cooperative.stats().flips, baseline.stats().flips);
-        }
+            (expected, baseline.stats())
+        });
+        assert_eq!(packed, scalar);
     }
 
     #[test]

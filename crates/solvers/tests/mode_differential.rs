@@ -1,93 +1,10 @@
-//! Solver-level differential tests: for every stochastic local-search solver
-//! and the brute-force enumerator, the packed evaluation core must produce
-//! results and statistics *bit-identical* to the scalar reference path, and
-//! [`Solver::reseed`] must restore a solver to the exact state of a freshly
-//! constructed one with the same seed.
+//! Solver-level reseed tests: [`Solver::reseed`] must restore every
+//! stochastic local-search solver to the exact state of a freshly
+//! constructed one with the same seed. (The packed cores are checked against
+//! their scalar reference oracles by each solver's own unit tests.)
 
 use cnf::generators::{self, RandomKSatConfig};
-use cnf::{CnfFormula, EvalMode};
-use sat_solvers::{
-    BruteForceSolver, Gsat, GsatConfig, Schoening, SchoeningConfig, Solver, WalkSat, WalkSatConfig,
-};
-
-/// A small mixed bag of instances: worked paper examples, random k-SAT at a
-/// few densities, and an unsatisfiable instance.
-fn test_instances() -> Vec<CnfFormula> {
-    let mut instances = vec![
-        generators::example6_sat(),
-        generators::example7_unsat(),
-        generators::section4_sat_instance(),
-        generators::section4_unsat_instance(),
-    ];
-    for seed in 0..4u64 {
-        instances.push(
-            generators::random_ksat(&RandomKSatConfig::new(16, 60, 3).with_seed(seed)).unwrap(),
-        );
-    }
-    instances
-}
-
-/// Runs one solver in both modes over all instances and asserts the results
-/// and stats match exactly.
-fn assert_modes_agree<S: Solver>(mut make: impl FnMut(EvalMode) -> S) {
-    for formula in test_instances() {
-        let mut scalar = make(EvalMode::Scalar);
-        let mut packed = make(EvalMode::Packed);
-        let scalar_result = scalar.solve(&formula);
-        let packed_result = packed.solve(&formula);
-        assert_eq!(scalar_result, packed_result, "verdict/model diverged");
-        assert_eq!(scalar.stats(), packed.stats(), "stats diverged");
-    }
-}
-
-#[test]
-fn walksat_modes_are_bit_identical() {
-    for seed in [0u64, 7, 42] {
-        assert_modes_agree(|eval_mode| {
-            WalkSat::with_config(WalkSatConfig {
-                seed,
-                max_flips: 2_000,
-                max_restarts: 4,
-                eval_mode,
-                ..WalkSatConfig::default()
-            })
-        });
-    }
-}
-
-#[test]
-fn gsat_modes_are_bit_identical() {
-    for seed in [0u64, 7, 42] {
-        assert_modes_agree(|eval_mode| {
-            Gsat::with_config(GsatConfig {
-                seed,
-                max_flips: 500,
-                max_restarts: 4,
-                eval_mode,
-                ..GsatConfig::default()
-            })
-        });
-    }
-}
-
-#[test]
-fn schoening_modes_are_bit_identical() {
-    for seed in [0u64, 7, 42] {
-        assert_modes_agree(|eval_mode| {
-            Schoening::with_config(SchoeningConfig {
-                seed,
-                max_restarts: 30,
-                eval_mode,
-                ..SchoeningConfig::default()
-            })
-        });
-    }
-}
-
-#[test]
-fn brute_force_modes_are_bit_identical() {
-    assert_modes_agree(|eval_mode| BruteForceSolver::new().with_eval_mode(eval_mode));
-}
+use sat_solvers::{Gsat, GsatConfig, Schoening, SchoeningConfig, Solver, WalkSat, WalkSatConfig};
 
 /// Reseeding an already-used solver must be indistinguishable from building a
 /// fresh solver with that seed: same verdict, same model, same stats.

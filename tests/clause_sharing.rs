@@ -12,7 +12,6 @@
 //! sharing machinery also behaves when member threads are serialised onto
 //! one core.
 
-use cnf::EvalMode;
 use nbl_sat_repro::prelude::*;
 use nbl_sat_repro::solvers::SharingConfig;
 
@@ -20,7 +19,7 @@ fn registries() -> (BackendRegistry, BackendRegistry) {
     (
         // Default = cooperative sharing on.
         BackendRegistry::default(),
-        BackendRegistry::with_modes(EvalMode::default(), SharingConfig::racing_only()),
+        BackendRegistry::with_sharing(SharingConfig::racing_only()),
     )
 }
 
@@ -140,27 +139,6 @@ fn sharing_counters_surface_in_solve_stats() {
     assert_eq!(raced.verdict, SolveVerdict::Unsatisfiable);
     assert_eq!(raced.stats.clauses_exported, 0);
     assert_eq!(raced.stats.clauses_imported, 0);
-}
-
-/// Sharing composes with both evaluation cores: the packed and scalar
-/// cooperative registries return the same verdicts on the shared corpus.
-#[test]
-fn cooperative_portfolio_is_mode_invariant() {
-    let scalar = BackendRegistry::with_modes(EvalMode::Scalar, SharingConfig::default());
-    let packed = BackendRegistry::with_modes(EvalMode::Packed, SharingConfig::default());
-    for (i, formula) in full_corpus().iter().enumerate() {
-        let request = SolveRequest::new(formula)
-            .artifacts(Artifacts::Model)
-            .seed(3);
-        let a = scalar.solve("parallel-portfolio", &request).unwrap();
-        let b = packed.solve("parallel-portfolio", &request).unwrap();
-        assert_eq!(a.verdict, b.verdict, "verdict diverged on instance {i}");
-        for outcome in [&a, &b] {
-            if let Some(model) = &outcome.model {
-                assert!(formula.evaluate(model), "invalid model on instance {i}");
-            }
-        }
-    }
 }
 
 /// Stress/acceptance for the CI concurrency re-run: repeated cooperative

@@ -123,7 +123,6 @@ fn schoening_walk_length_is_linear_in_n() {
         max_restarts: 5,
         walk_length_factor: 3,
         seed: 0,
-        ..SchoeningConfig::default()
     });
     assert!(!solver.solve(&formula).is_sat());
     assert_eq!(solver.stats().flips, 5 * 3 * formula.num_vars() as u64);

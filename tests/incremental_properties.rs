@@ -3,9 +3,8 @@
 //! The contract under test: for any formula F and assumption literals A,
 //! `CdclSolver::solve_under_assumptions(A)` must agree with solving
 //! `F ∧ (unit clauses for A)` from scratch — verified against the
-//! brute-force oracle in **both** evaluation modes (scalar and 64-way
-//! bit-packed). On UNSAT the failed-assumption core must be a subset of A
-//! that is already unsatisfiable together with F; on SAT the model must
+//! brute-force oracle. On UNSAT the failed-assumption core must be a subset
+//! of A that is already unsatisfiable together with F; on SAT the model must
 //! satisfy F and every assumption. Learned clauses carried across calls must
 //! never flip a later verdict.
 
@@ -13,7 +12,6 @@ use nbl_sat_repro::prelude::*;
 use proptest::prelude::*;
 
 use cnf::generators::{self, RandomKSatConfig};
-use cnf::EvalMode;
 
 /// Strategy: a random CNF formula with `1..=max_vars` variables and
 /// `1..=max_clauses` clauses of 1–3 literals, plus `0..=4` assumption
@@ -53,45 +51,39 @@ fn with_units(formula: &CnfFormula, assumptions: &[Literal]) -> CnfFormula {
     augmented
 }
 
-fn brute_is_sat(formula: &CnfFormula, mode: EvalMode) -> bool {
-    BruteForceSolver::new()
-        .with_eval_mode(mode)
-        .solve(formula)
-        .is_sat()
+fn brute_is_sat(formula: &CnfFormula) -> bool {
+    BruteForceSolver::new().solve(formula).is_sat()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `solve_under_assumptions(A)` agrees with `F ∧ units(A)` in both
-    /// evaluation modes; SAT models verify, UNSAT cores refute.
+    /// `solve_under_assumptions(A)` agrees with `F ∧ units(A)`; SAT models
+    /// verify, UNSAT cores refute.
     #[test]
     fn assumption_solve_matches_unit_clause_oracle((formula, assumptions) in arb_instance(6, 8)) {
         let oracle = with_units(&formula, &assumptions);
-        let scalar = brute_is_sat(&oracle, EvalMode::Scalar);
-        let packed = brute_is_sat(&oracle, EvalMode::Packed);
-        prop_assert_eq!(scalar, packed);
+        let sat = brute_is_sat(&oracle);
 
         let mut solver = CdclSolver::new();
         solver.push(&formula);
         match solver.solve_under_assumptions(&assumptions, &SearchLimits::unlimited()) {
             IncrementalResult::Satisfiable(model) => {
-                prop_assert!(scalar, "SAT claimed on an UNSAT oracle");
+                prop_assert!(sat, "SAT claimed on an UNSAT oracle");
                 prop_assert!(formula.evaluate(&model));
                 for &lit in &assumptions {
                     prop_assert!(model.satisfies(lit), "assumption {lit} violated");
                 }
             }
             IncrementalResult::Unsatisfiable(core) => {
-                prop_assert!(!scalar, "UNSAT claimed on a SAT oracle");
+                prop_assert!(!sat, "UNSAT claimed on a SAT oracle");
                 // The failed core is a subset of the call's assumptions…
                 for lit in &core {
                     prop_assert!(assumptions.contains(lit), "core literal {lit} never assumed");
                 }
-                // …already unsatisfiable with the formula, in both modes.
+                // …already unsatisfiable with the formula.
                 let refuted = with_units(&formula, &core);
-                prop_assert!(!brute_is_sat(&refuted, EvalMode::Scalar));
-                prop_assert!(!brute_is_sat(&refuted, EvalMode::Packed));
+                prop_assert!(!brute_is_sat(&refuted));
             }
             IncrementalResult::Unknown => {
                 prop_assert!(false, "unlimited search returned Unknown");
@@ -103,7 +95,7 @@ proptest! {
     /// clauses and saved phases carried over must never flip an answer.
     #[test]
     fn repeated_assumption_solves_are_stable((formula, assumptions) in arb_instance(6, 8)) {
-        let oracle = brute_is_sat(&with_units(&formula, &assumptions), EvalMode::Packed);
+        let oracle = brute_is_sat(&with_units(&formula, &assumptions));
         let mut solver = CdclSolver::new();
         solver.push(&formula);
         let limits = SearchLimits::unlimited();

@@ -95,7 +95,7 @@ fn pipeline_preserves_classical_backend_verdicts() {
 #[test]
 fn pipeline_preserves_nbl_backend_verdicts() {
     // The NBL and hybrid backends pay `2^{n·m}`-ish costs, so they run the
-    // paper's worked instances only — exactly like `backend_differential.rs`.
+    // paper's worked instances only.
     for backend in [
         "nbl-symbolic",
         "nbl-algebraic",

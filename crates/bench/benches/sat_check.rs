@@ -1,7 +1,8 @@
 //! Criterion bench for E3/E8: the single-operation SAT check under each
 //! engine (exact counting, algebraic expansion, Monte-Carlo sampling) on the
-//! paper's worked examples.
+//! paper's worked examples, and the exact engine's scaling with `n`.
 
+use cnf::generators::{self, RandomKSatConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use nbl_sat_core::{
     AlgebraicEngine, EngineConfig, NblEngine, NblSatInstance, SampledEngine, SymbolicEngine,
@@ -47,5 +48,31 @@ fn engines_on_worked_examples(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, engines_on_worked_examples);
+/// One exact check per formula on four fixed random 3-SAT formulas at
+/// α = 4.26, for n = 18 and n = 24 (both inside the engine's 26-free-variable
+/// cap). Enumerating every assignment costs 2^6 = 64× more at n = 24; CI
+/// requires both records and asserts that n = 24 costs at most 16× n = 18.
+fn symbolic_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("symbolic_scaling");
+    for n in [18, 24] {
+        let instances: Vec<NblSatInstance> = (0..4u64)
+            .map(|seed| {
+                let config = RandomKSatConfig::from_ratio(n, 4.26, 3).with_seed(seed + 100);
+                NblSatInstance::new(&generators::random_ksat(&config).unwrap()).unwrap()
+            })
+            .collect();
+        group.bench_function(format!("n{n}"), |b| {
+            b.iter(|| {
+                for instance in &instances {
+                    SymbolicEngine::new()
+                        .estimate(instance, &instance.empty_bindings())
+                        .unwrap();
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, engines_on_worked_examples, symbolic_scaling);
 criterion_main!(benches);

@@ -102,7 +102,7 @@ pub trait NblEngine {
     /// *interrupts* the work: [`crate::SampledEngine`] clamps its convergence
     /// loop to the remaining sample allowance and polls the deadline every
     /// sample, [`crate::SymbolicEngine`] polls the deadline inside its
-    /// assignment enumeration. The default implementation only pre-checks the
+    /// model search. The default implementation only pre-checks the
     /// deadline and sample allowance, then charges the samples the estimate
     /// consumed.
     ///

@@ -29,7 +29,8 @@
 //! Two interchangeable engines evaluate ⟨S_N⟩ behind the [`NblEngine`] trait:
 //!
 //! * [`SymbolicEngine`] — the infinite-sample ideal-hardware limit, computed
-//!   exactly from the orthogonality rules of the noise algebra,
+//!   exactly from the orthogonality rules of the noise algebra by a
+//!   branch-and-prune weighted model count over the free variables,
 //! * [`SampledEngine`] — a faithful Monte-Carlo simulation of the analog
 //!   datapath (the paper's MATLAB experiment), supporting every carrier family
 //!   in [`nbl_noise::CarrierKind`], the §IV convergence stopping rule, and

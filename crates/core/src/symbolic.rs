@@ -4,12 +4,14 @@ use crate::budget::BudgetMeter;
 use crate::engine::{MeanEstimate, NblEngine};
 use crate::error::{NblSatError, Result};
 use crate::transform::NblSatInstance;
-use cnf::{Assignment, PartialAssignment, Variable};
+use cnf::{CnfFormula, Literal, PartialAssignment, Variable};
 use nbl_logic::MomentModel;
+use std::cmp::Reverse;
+use std::ops::Range;
 
-/// How many enumerated assignments the budgeted estimate processes between
-/// wall-clock deadline polls.
-const DEADLINE_POLL_MASKS: u64 = 1024;
+/// How many search nodes the budgeted estimate visits between wall-clock
+/// deadline polls.
+const DEADLINE_POLL_NODES: u64 = 1024;
 
 /// Exact evaluation of ⟨S_N⟩ using the orthogonality rules of the noise
 /// algebra.
@@ -25,12 +27,16 @@ const DEADLINE_POLL_MASKS: u64 = 1024;
 /// because clause `j`'s superposition Z_j contains `a`'s noise minterm once
 /// per satisfied literal. The engine therefore computes
 /// `⟨S_N⟩ = Var^{n·m} · Σ_{a ⊨ S, a ∈ τ-subspace} Π_j (#literals of c_j satisfied by a)`
-/// by direct enumeration of the (bound) assignment space. This is the ideal
-/// infinite-sample output of the analog hardware, free of estimation noise.
+/// exactly, with a depth-first branch-and-prune weighted model counter: the
+/// bindings are its starting partial assignment, a branch ends the moment a
+/// clause has no true and no unassigned literal left, and every complete
+/// assignment it reaches is a model, weighted by its clauses' true-literal
+/// counts. This is the ideal infinite-sample output of the analog hardware,
+/// free of estimation noise.
 ///
-/// The enumeration is exponential in the number of *free* variables — the
-/// same fundamental scaling the paper accepts for its software simulation —
-/// and is guarded by a configurable variable limit.
+/// The search is still exponential in the number of *free* variables in the
+/// worst case — the same fundamental scaling the paper accepts for its
+/// software simulation — and is guarded by a configurable variable limit.
 #[derive(Debug, Clone, Copy)]
 pub struct SymbolicEngine {
     moment_model: MomentModel,
@@ -45,7 +51,7 @@ impl Default for SymbolicEngine {
 
 impl SymbolicEngine {
     /// Creates a symbolic engine with the paper's uniform [-0.5, 0.5] carriers
-    /// and a 26-free-variable enumeration limit.
+    /// and a 26-free-variable limit.
     pub fn new() -> Self {
         SymbolicEngine {
             moment_model: MomentModel::uniform_half(),
@@ -60,7 +66,7 @@ impl SymbolicEngine {
         self
     }
 
-    /// Overrides the free-variable enumeration limit.
+    /// Overrides the free-variable limit.
     pub fn with_max_free_vars(mut self, max_free_vars: usize) -> Self {
         self.max_free_vars = max_free_vars;
         self
@@ -75,10 +81,13 @@ impl SymbolicEngine {
     /// unweighted (`K`) and weighted by the per-clause literal multiplicity
     /// (the quantity that actually scales ⟨S_N⟩).
     ///
+    /// The weighted count is summed exactly as an integer and converted to
+    /// `f64` once, so it is exact whenever it is below 2^53.
+    ///
     /// # Errors
     ///
     /// Returns [`NblSatError::InstanceTooLarge`] if the number of free
-    /// variables exceeds the engine's enumeration limit, and
+    /// variables exceeds the engine's limit, and
     /// [`NblSatError::BindingOutOfRange`] for mismatched bindings.
     pub fn count_models(
         &self,
@@ -95,55 +104,250 @@ impl SymbolicEngine {
         meter: Option<&BudgetMeter>,
     ) -> Result<(u64, f64)> {
         instance.validate_bindings(bindings)?;
-        let n = instance.num_vars();
-        let free_vars: Vec<Variable> = (0..n)
-            .map(Variable::new)
-            .filter(|v| bindings.value(*v).is_none())
-            .collect();
-        if free_vars.len() > self.max_free_vars {
+        let free = instance.num_vars() - bindings.num_assigned();
+        if free > self.max_free_vars {
             return Err(NblSatError::InstanceTooLarge {
                 limit: format!("{} free variables", self.max_free_vars),
-                actual: free_vars.len(),
+                actual: free,
             });
         }
-        let formula = instance.formula();
-        let mut count = 0u64;
-        let mut weighted = 0.0f64;
-        let num_combinations = 1u64 << free_vars.len();
-        let mut assignment = bindings.to_complete(false);
-        for mask in 0..num_combinations {
-            if let Some(meter) = meter {
-                if mask.is_multiple_of(DEADLINE_POLL_MASKS) {
-                    meter.ensure_time()?;
-                }
-            }
-            for (bit, var) in free_vars.iter().enumerate() {
-                assignment.set(*var, (mask >> bit) & 1 == 1);
-            }
-            if satisfies_with_weight(formula, &assignment) {
-                count += 1;
-                weighted += clause_multiplicity_weight(formula, &assignment);
-            }
-        }
-        Ok((count, weighted))
+        WeightedCounter::new(instance.formula(), bindings).count(meter)
     }
 }
 
-/// Returns `true` if the assignment satisfies the formula.
-fn satisfies_with_weight(formula: &cnf::CnfFormula, assignment: &Assignment) -> bool {
-    formula.evaluate(assignment)
+/// The depth-first branch-and-prune weighted model counter behind
+/// [`SymbolicEngine::count_models`].
+///
+/// Every buffer is sized once per call. Assigning or undoing a variable walks
+/// only the occurrence lists of its two literals, and the search allocates
+/// nothing per node.
+struct WeightedCounter {
+    /// Literal → clause occurrences in CSR form: the clauses containing the
+    /// literal with code `l` are `occ_clauses[occ_start[l]..occ_start[l + 1]]`,
+    /// once per occurrence. Only free variables' literals have entries.
+    occ_start: Vec<u32>,
+    occ_clauses: Vec<u32>,
+    /// Per clause, how many of its literals are true.
+    true_lits: Vec<u32>,
+    /// Per clause, how many of its literals are still unassigned.
+    open_lits: Vec<u32>,
+    /// `hist[t]` is the number of clauses with exactly `t` true literals.
+    hist: Vec<u32>,
+    /// The free variables that occur in some clause, most occurrences first
+    /// (ties by index): the fixed branching order.
+    order: Vec<Variable>,
+    /// Free variables that occur in no clause. Each one doubles the count
+    /// and the weight without branching.
+    isolated: u32,
+    nodes: u64,
+    models: u64,
+    weight: WeightSum,
 }
 
-/// `Π_j (#literals of clause j satisfied by the assignment)`.
-fn clause_multiplicity_weight(formula: &cnf::CnfFormula, assignment: &Assignment) -> f64 {
-    formula
-        .iter()
-        .map(|clause| {
-            clause
-                .iter()
-                .filter(|lit| assignment.satisfies(**lit))
-                .count() as f64
-        })
+impl WeightedCounter {
+    /// Builds the search state with the bindings applied.
+    fn new(formula: &CnfFormula, bindings: &PartialAssignment) -> Self {
+        let num_clauses = formula.num_clauses();
+        let mut occ_start = vec![0u32; 2 * formula.num_vars() + 1];
+        let mut true_lits = vec![0u32; num_clauses];
+        let mut open_lits = vec![0u32; num_clauses];
+        let mut max_len = 0;
+        for (c, clause) in formula.iter().enumerate() {
+            max_len = max_len.max(clause.len());
+            for lit in clause.iter() {
+                match bindings.value(lit.variable()) {
+                    Some(value) => true_lits[c] += u32::from(lit.evaluate(value)),
+                    None => {
+                        open_lits[c] += 1;
+                        occ_start[lit.code()] += 1;
+                    }
+                }
+            }
+        }
+        // Running sums turn each count into its list's end; filling the lists
+        // back to front then leaves `occ_start[l]` at the start of list `l`.
+        let mut end = 0;
+        for slot in &mut occ_start {
+            end += *slot;
+            *slot = end;
+        }
+        let mut occ_clauses = vec![0u32; end as usize];
+        for (c, clause) in formula.iter().enumerate().rev() {
+            for lit in clause.iter() {
+                if bindings.value(lit.variable()).is_none() {
+                    occ_start[lit.code()] -= 1;
+                    occ_clauses[occ_start[lit.code()] as usize] = c as u32;
+                }
+            }
+        }
+        let mut hist = vec![0u32; max_len + 1];
+        for &t in &true_lits {
+            hist[t as usize] += 1;
+        }
+        let occurrences =
+            |var: Variable| occ_start[var.negative().code() + 1] - occ_start[var.positive().code()];
+        let mut order = Vec::with_capacity(formula.num_vars());
+        let mut isolated = 0;
+        for var in (0..formula.num_vars()).map(Variable::new) {
+            if bindings.value(var).is_some() {
+                continue;
+            }
+            if occurrences(var) > 0 {
+                order.push(var);
+            } else {
+                isolated += 1;
+            }
+        }
+        order.sort_by_key(|&var| Reverse(occurrences(var)));
+        WeightedCounter {
+            occ_start,
+            occ_clauses,
+            true_lits,
+            open_lits,
+            hist,
+            order,
+            isolated,
+            nodes: 0,
+            models: 0,
+            weight: WeightSum::Exact(0),
+        }
+    }
+
+    /// Runs the search and returns the model count and the weighted count.
+    fn count(mut self, meter: Option<&BudgetMeter>) -> Result<(u64, f64)> {
+        let falsified = self
+            .true_lits
+            .iter()
+            .zip(&self.open_lits)
+            .any(|(&true_lits, &open_lits)| true_lits == 0 && open_lits == 0);
+        if !falsified {
+            self.branch(0, meter)?;
+        }
+        let models = self.models << self.isolated;
+        Ok((models, self.weight.doubled(self.isolated).to_f64()))
+    }
+
+    /// Counts the models below a node whose first `depth` variables of the
+    /// branching order are set.
+    fn branch(&mut self, depth: usize, meter: Option<&BudgetMeter>) -> Result<()> {
+        if let Some(meter) = meter {
+            if self.nodes.is_multiple_of(DEADLINE_POLL_NODES) {
+                meter.ensure_time()?;
+            }
+        }
+        self.nodes += 1;
+        let Some(&var) = self.order.get(depth) else {
+            debug_assert_eq!(self.hist[0], 0, "a model with a falsified clause");
+            self.models += 1;
+            self.weight.add(&self.hist);
+            return Ok(());
+        };
+        for lit in [var.negative(), var.positive()] {
+            let searched = if self.assign(lit) {
+                self.branch(depth + 1, meter)
+            } else {
+                Ok(())
+            };
+            self.undo(lit);
+            searched?;
+        }
+        Ok(())
+    }
+
+    /// Makes `lit` true: every clause containing it gains a true literal and
+    /// every clause containing `¬lit` loses an unassigned one. Returns
+    /// `false` if a clause is left with neither.
+    fn assign(&mut self, lit: Literal) -> bool {
+        for i in self.occurrences(lit) {
+            let c = self.occ_clauses[i] as usize;
+            self.hist[self.true_lits[c] as usize] -= 1;
+            self.true_lits[c] += 1;
+            self.hist[self.true_lits[c] as usize] += 1;
+            self.open_lits[c] -= 1;
+        }
+        let mut consistent = true;
+        for i in self.occurrences(!lit) {
+            let c = self.occ_clauses[i] as usize;
+            self.open_lits[c] -= 1;
+            consistent &= self.true_lits[c] > 0 || self.open_lits[c] > 0;
+        }
+        consistent
+    }
+
+    /// Reverts [`WeightedCounter::assign`] of the same literal.
+    fn undo(&mut self, lit: Literal) {
+        for i in self.occurrences(lit) {
+            let c = self.occ_clauses[i] as usize;
+            self.hist[self.true_lits[c] as usize] -= 1;
+            self.true_lits[c] -= 1;
+            self.hist[self.true_lits[c] as usize] += 1;
+            self.open_lits[c] += 1;
+        }
+        for i in self.occurrences(!lit) {
+            self.open_lits[self.occ_clauses[i] as usize] += 1;
+        }
+    }
+
+    /// The positions of `lit`'s occurrence list in `occ_clauses`.
+    fn occurrences(&self, lit: Literal) -> Range<usize> {
+        self.occ_start[lit.code()] as usize..self.occ_start[lit.code() + 1] as usize
+    }
+}
+
+/// A weighted model count, summed exactly in `u128`. If the integer sum
+/// would overflow (a single weight can reach 3^m), the rest of the sum
+/// continues in `f64` in the same fixed search order, so the result is
+/// deterministic either way.
+#[derive(Debug, Clone, Copy)]
+enum WeightSum {
+    Exact(u128),
+    Float(f64),
+}
+
+impl WeightSum {
+    /// Adds the weight `Π_t t^hist[t]` of one model.
+    fn add(&mut self, hist: &[u32]) {
+        *self = match *self {
+            WeightSum::Exact(sum) => match exact_weight(hist).and_then(|w| sum.checked_add(w)) {
+                Some(sum) => WeightSum::Exact(sum),
+                None => WeightSum::Float(sum as f64 + float_weight(hist)),
+            },
+            WeightSum::Float(sum) => WeightSum::Float(sum + float_weight(hist)),
+        };
+    }
+
+    /// Multiplies the sum by `2^k`.
+    fn doubled(self, k: u32) -> Self {
+        match self {
+            WeightSum::Exact(sum) => match 1u128.checked_shl(k).and_then(|f| sum.checked_mul(f)) {
+                Some(sum) => WeightSum::Exact(sum),
+                None => WeightSum::Float(sum as f64 * 2f64.powi(k as i32)),
+            },
+            WeightSum::Float(sum) => WeightSum::Float(sum * 2f64.powi(k as i32)),
+        }
+    }
+
+    fn to_f64(self) -> f64 {
+        match self {
+            WeightSum::Exact(sum) => sum as f64,
+            WeightSum::Float(sum) => sum,
+        }
+    }
+}
+
+/// `Π_t t^hist[t]` as an integer, or `None` if it overflows `u128`.
+fn exact_weight(hist: &[u32]) -> Option<u128> {
+    (2..hist.len()).try_fold(1u128, |weight, t| {
+        (t as u128)
+            .checked_pow(hist[t])
+            .and_then(|power| weight.checked_mul(power))
+    })
+}
+
+/// `Π_t t^hist[t]` in `f64`.
+fn float_weight(hist: &[u32]) -> f64 {
+    (2..hist.len())
+        .map(|t| (t as f64).powi(hist[t] as i32))
         .product()
 }
 
@@ -157,9 +361,9 @@ impl NblEngine for SymbolicEngine {
         Ok(MeanEstimate::exact(self.scaled_mean(instance, weighted)))
     }
 
-    /// Budgeted variant: polls the wall-clock deadline inside the assignment
-    /// enumeration so a tight budget interrupts the exponential scan. Exact
-    /// engines draw no noise samples, so only the deadline applies.
+    /// Budgeted variant: polls the wall-clock deadline inside the model
+    /// search so a tight budget interrupts it. Exact engines draw no noise
+    /// samples, so only the deadline applies.
     fn estimate_budgeted(
         &mut self,
         instance: &NblSatInstance,
@@ -190,6 +394,74 @@ impl SymbolicEngine {
         } else {
             mean
         }
+    }
+}
+
+/// The enumerator [`SymbolicEngine::count_models`] ran before the
+/// branch-and-prune counter: a test-only oracle, kept verbatim except for its
+/// deadline poll, that the counter must match bit for bit wherever the
+/// weighted count is below 2^53. It visits all 2^free assignments and
+/// evaluates the whole formula twice for each model.
+#[cfg(test)]
+mod reference {
+    use super::SymbolicEngine;
+    use crate::error::{NblSatError, Result};
+    use crate::transform::NblSatInstance;
+    use cnf::{Assignment, PartialAssignment, Variable};
+
+    impl SymbolicEngine {
+        /// The model count and weighted count by enumeration.
+        pub(super) fn count_models_enumerated(
+            &self,
+            instance: &NblSatInstance,
+            bindings: &PartialAssignment,
+        ) -> Result<(u64, f64)> {
+            instance.validate_bindings(bindings)?;
+            let n = instance.num_vars();
+            let free_vars: Vec<Variable> = (0..n)
+                .map(Variable::new)
+                .filter(|v| bindings.value(*v).is_none())
+                .collect();
+            if free_vars.len() > self.max_free_vars {
+                return Err(NblSatError::InstanceTooLarge {
+                    limit: format!("{} free variables", self.max_free_vars),
+                    actual: free_vars.len(),
+                });
+            }
+            let formula = instance.formula();
+            let mut count = 0u64;
+            let mut weighted = 0.0f64;
+            let num_combinations = 1u64 << free_vars.len();
+            let mut assignment = bindings.to_complete(false);
+            for mask in 0..num_combinations {
+                for (bit, var) in free_vars.iter().enumerate() {
+                    assignment.set(*var, (mask >> bit) & 1 == 1);
+                }
+                if satisfies_with_weight(formula, &assignment) {
+                    count += 1;
+                    weighted += clause_multiplicity_weight(formula, &assignment);
+                }
+            }
+            Ok((count, weighted))
+        }
+    }
+
+    /// Returns `true` if the assignment satisfies the formula.
+    fn satisfies_with_weight(formula: &cnf::CnfFormula, assignment: &Assignment) -> bool {
+        formula.evaluate(assignment)
+    }
+
+    /// `Π_j (#literals of clause j satisfied by the assignment)`.
+    fn clause_multiplicity_weight(formula: &cnf::CnfFormula, assignment: &Assignment) -> f64 {
+        formula
+            .iter()
+            .map(|clause| {
+                clause
+                    .iter()
+                    .filter(|lit| assignment.satisfies(**lit))
+                    .count() as f64
+            })
+            .product()
     }
 }
 
@@ -360,5 +632,147 @@ mod tests {
             "satisfiable instance must keep a positive exact mean even when Var^nm underflows"
         );
         assert!(estimate.is_positive(3.0));
+    }
+
+    /// Asserts that the counter returns the reference enumerator's model
+    /// count and weighted count bit for bit, unbound and with one to three
+    /// variables bound each way. Which variables are bound, and to what,
+    /// varies with `case`.
+    fn assert_matches_reference(label: &str, formula: &cnf::CnfFormula, case: usize) {
+        let inst = instance(formula);
+        let engine = SymbolicEngine::new();
+        let n = inst.num_vars();
+        let mut variants = vec![inst.empty_bindings()];
+        for bound in 1..=n.min(3) {
+            for flip in [false, true] {
+                let mut bindings = inst.empty_bindings();
+                for i in 0..bound {
+                    let value = ((case >> i) & 1 == 1) != flip;
+                    bindings.assign(Variable::new((case + i) % n), value);
+                }
+                variants.push(bindings);
+            }
+        }
+        for bindings in &variants {
+            let expected = engine.count_models_enumerated(&inst, bindings).unwrap();
+            assert!(
+                expected.1 < 2f64.powi(53),
+                "{label}: the reference sum {} is past 2^53",
+                expected.1
+            );
+            let actual = engine.count_models(&inst, bindings).unwrap();
+            assert_eq!(
+                (actual.0, actual.1.to_bits()),
+                (expected.0, expected.1.to_bits()),
+                "{label} under {bindings:?}: {actual:?} vs the reference's {expected:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn counter_matches_the_reference_on_the_paper_instances() {
+        let cases = [
+            ("running example", generators::running_example()),
+            ("example 6", generators::example6_sat()),
+            ("example 7", generators::example7_unsat()),
+            ("section 4 SAT", generators::section4_sat_instance()),
+            ("section 4 UNSAT", generators::section4_unsat_instance()),
+        ];
+        for (case, (label, formula)) in cases.iter().enumerate() {
+            assert_matches_reference(label, formula, case);
+        }
+    }
+
+    #[test]
+    fn counter_matches_the_reference_on_random_3sat() {
+        use cnf::generators::RandomKSatConfig;
+        let mut case = 0;
+        for n in [3, 5, 8, 12, 14, 16] {
+            for alpha in [1.5, 3.0, 4.26, 6.0] {
+                for seed in 0..3 {
+                    let config = RandomKSatConfig::from_ratio(n, alpha, 3).with_seed(seed);
+                    let formula = generators::random_ksat(&config).unwrap();
+                    let label = format!("random 3-SAT n={n} alpha={alpha} seed={seed}");
+                    assert_matches_reference(&label, &formula, case);
+                    case += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counter_matches_the_reference_on_unnormalized_formulas() {
+        use cnf::generators::RandomKSatConfig;
+        // Duplicate literals, tautological clauses, and x5 and x6 in no clause.
+        let mut hand = cnf::CnfFormula::from_dimacs_clauses(&[
+            vec![1, 1, 2],
+            vec![-1, 1],
+            vec![2, -3, -3],
+            vec![-2, 4, -4, 4],
+        ])
+        .unwrap();
+        hand.ensure_vars(6);
+        assert_matches_reference("hand-written", &hand, 0);
+        let (mut duplicates, mut tautologies) = (0, 0);
+        for seed in 0..60u64 {
+            let (k, m) = (2 + seed as usize % 3, 3 + seed as usize % 10);
+            let config = RandomKSatConfig::new(5, m, k)
+                .allow_repeated_vars()
+                .with_seed(seed);
+            let mut formula = generators::random_ksat(&config).unwrap();
+            formula.ensure_vars(5 + seed as usize % 3);
+            for clause in formula.iter() {
+                duplicates += usize::from(clause.normalized().len() < clause.len());
+                tautologies += usize::from(clause.is_tautology());
+            }
+            assert_matches_reference(
+                &format!("repeated vars seed={seed}"),
+                &formula,
+                seed as usize,
+            );
+        }
+        assert!(
+            duplicates > 0 && tautologies > 0,
+            "{duplicates} {tautologies}"
+        );
+    }
+
+    #[test]
+    fn weights_past_u128_continue_in_f64() {
+        // 90 copies of (x1 + x2 + x3), plus x4 and x5 in no clause. The model
+        // x1 = x2 = x3 = 1 alone weighs 3^90 > 2^128, so the integer sum
+        // overflows on the last leaf and the rest continues in f64.
+        let mut f = cnf::CnfFormula::new(5);
+        for _ in 0..90 {
+            f.add_clause((0..3).map(|i| Variable::new(i).positive()));
+        }
+        let inst = instance(&f);
+        let engine = SymbolicEngine::new();
+        let (count, weighted) = engine.count_models(&inst, &inst.empty_bindings()).unwrap();
+        assert_eq!(count, 7 * 4);
+        let exact = 4.0 * (3f64.powi(90) + 3.0 * 2f64.powi(90) + 3.0);
+        assert!(
+            (weighted - exact).abs() <= exact * 1e-15,
+            "{weighted} vs {exact}"
+        );
+        let (ref_count, ref_weighted) = engine
+            .count_models_enumerated(&inst, &inst.empty_bindings())
+            .unwrap();
+        assert_eq!(count, ref_count);
+        assert!((weighted - ref_weighted).abs() <= ref_weighted * 1e-15);
+    }
+
+    #[test]
+    fn the_search_polls_the_deadline() {
+        use crate::budget::{Budget, ExhaustedResource};
+        use std::time::Duration;
+        let inst = instance(&generators::section4_sat_instance());
+        let expired = BudgetMeter::start(&Budget::unlimited().with_wall_time(Duration::ZERO));
+        assert!(matches!(
+            SymbolicEngine::new().count_models_impl(&inst, &inst.empty_bindings(), Some(&expired)),
+            Err(NblSatError::BudgetExhausted {
+                resource: ExhaustedResource::WallClock
+            })
+        ));
     }
 }

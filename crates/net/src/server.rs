@@ -41,14 +41,17 @@ use nbl_sat_core::{
 };
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle as ThreadHandle};
 use std::time::Duration;
 
-/// How often the accept loop polls the stop flag between accepts.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the accept loop backs off after a failed accept (out of file
+/// descriptors, say) before it tries again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// First job id handed to `SESSION ASSUME` solves. One-shot ids count up from
 /// 0 and session ids count up from here, so the two ranges cannot collide on
@@ -130,6 +133,11 @@ struct ServerShared {
 impl ServerShared {
     fn request_stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.notify_stopped();
+    }
+
+    /// Wakes [`NblSatServer::wait`]; the stop flag must already be raised.
+    fn notify_stopped(&self) {
         let mut stopped = self
             .stopped_lock
             .lock()
@@ -170,7 +178,6 @@ impl NblSatServer {
     /// solve service and the accept loop, and returns immediately.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let mut builder = SolveService::builder(&config.registry).shared_budget(config.budget);
         if let Some(workers) = config.workers {
@@ -245,10 +252,26 @@ impl NblSatServer {
             .unwrap_or_else(PoisonError::into_inner)
             .take()
         {
-            let _ = handle.join();
+            // The accept loop blocks in `accept`. One connection of our own
+            // wakes it to see the stop flag; if that connect fails, the
+            // thread may never wake, so it is left detached.
+            if TcpStream::connect(wake_addr(self.local_addr)).is_ok() {
+                let _ = handle.join();
+            }
         }
         self.shared.service.shutdown();
     }
+}
+
+/// The address that reaches a listener bound to `local`: `local` itself, or
+/// the loopback address of the same family when `local` is unspecified.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 impl Drop for NblSatServer {
@@ -258,8 +281,14 @@ impl Drop for NblSatServer {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Once the stop flag is up, whatever woke the accept (the server's
+        // own wake-up connection, or a late client) is dropped unserved.
+        if shared.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let shared = Arc::clone(shared);
                 thread::spawn(move || {
@@ -268,10 +297,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                     let _ = serve_connection(stream, &shared);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -583,10 +609,14 @@ fn handle_frame(
             // Graceful drain: every job this connection already submitted
             // still streams its completion, then BYE closes the exchange.
             // The stop flag is raised before BYE so that a client observing
-            // the ack also observes the server stopping.
+            // the ack also observes the server stopping. `wait()` is woken
+            // only after BYE is written: `nbl-satd` exits as soon as it
+            // returns, and must not exit with BYE unsent.
             connection.drain_completions();
-            shared.request_stop();
-            connection.send(&Frame::Bye)?;
+            shared.stop.store(true, Ordering::Relaxed);
+            let sent = connection.send(&Frame::Bye);
+            shared.notify_stopped();
+            sent?;
             return Ok(false);
         }
         // Server-side verbs arriving at the server are grammar-valid but
@@ -873,5 +903,78 @@ mod tests {
         ));
         assert!(matches!(frames[10], Frame::Error { job: Some(3), .. }));
         shared.service.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_wait_only_after_bye_is_written() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let connection = Arc::new(Connection::new(listener.accept().unwrap().0));
+        let shared = Arc::new(ServerShared {
+            service: SolveService::builder(&BackendRegistry::default())
+                .workers(1)
+                .start(),
+            stop: AtomicBool::new(false),
+            stopped: Condvar::new(),
+            stopped_lock: Mutex::new(false),
+        });
+        // Holding the writer lock keeps BYE from being written.
+        let writer = connection.writer.lock().unwrap();
+        let handler = {
+            let (connection, shared) = (Arc::clone(&connection), Arc::clone(&shared));
+            thread::spawn(move || handle_frame(Frame::Shutdown, &connection, &shared))
+        };
+        while !shared.stop.load(Ordering::Relaxed) {
+            thread::yield_now();
+        }
+        // The stop flag is up, but `wait()` must not wake while BYE is unsent.
+        let stopped = shared.stopped_lock.lock().unwrap();
+        let (stopped, _) = shared
+            .stopped
+            .wait_timeout_while(stopped, Duration::from_millis(200), |stopped| !*stopped)
+            .unwrap();
+        assert!(!*stopped, "wait() woke before BYE was written");
+        drop(stopped);
+
+        drop(writer);
+        let stopped = shared.stopped_lock.lock().unwrap();
+        let (stopped, _) = shared
+            .stopped
+            .wait_timeout_while(stopped, Duration::from_secs(30), |stopped| !*stopped)
+            .unwrap();
+        assert!(*stopped, "wait() never woke after BYE");
+        drop(stopped);
+        assert!(
+            !handler.join().unwrap().unwrap(),
+            "SHUTDOWN keeps the connection open"
+        );
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut reader = BufReader::new(client);
+        assert_eq!(Frame::read_from(&mut reader).unwrap(), Some(Frame::Bye));
+        shared.service.shutdown();
+    }
+
+    #[test]
+    fn new_connections_are_accepted_without_a_poll_delay() {
+        use crate::client::NblSatClient;
+        use std::time::Instant;
+        let server = NblSatServer::bind("127.0.0.1:0", ServerConfig::new().workers(1)).unwrap();
+        let mut round_trips: Vec<Duration> = (0..30)
+            .map(|_| {
+                let start = Instant::now();
+                let client = NblSatClient::connect(server.local_addr()).unwrap();
+                client.ping().unwrap();
+                start.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(5),
+            "median connect + PING round trip {median:?}"
+        );
+        server.stop();
     }
 }

@@ -127,8 +127,8 @@ pub use sampled::SampledEngine;
 pub use snr::SnrModel;
 pub use solve::{
     Artifacts, BackendLatency, BackendRegistry, CacheStats, CachedAnswer, CdclSessionBackend,
-    ClassicalBackend, HybridBackend, IncrementalBackend, JobHandle, JobPriority, JobStatus,
-    MetricsRegistry, MetricsSnapshot, NblCheckBackend, PipelineConfig, PipelineDecision,
+    ClassicalBackend, CounterRow, HybridBackend, IncrementalBackend, JobHandle, JobPriority,
+    JobStatus, MetricsRegistry, MetricsSnapshot, NblCheckBackend, PipelineConfig, PipelineDecision,
     PreparedRequest, SatBackend, ServiceBuilder, SessionCall, SessionHandle, SessionSolve,
     SolveBatch, SolveOutcome, SolvePipeline, SolveRequest, SolveService, SolveSession, SolveStats,
     SolveVerdict, UnknownCause, VerdictCache, DEFAULT_CACHE_CAPACITY, LATENCY_BUCKETS,

@@ -65,7 +65,7 @@ pub use backend::SatBackend;
 pub use batch::SolveBatch;
 pub use cache::{CacheStats, CachedAnswer, VerdictCache, DEFAULT_CACHE_CAPACITY};
 pub use metrics::{BackendLatency, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS};
-pub use outcome::{SolveOutcome, SolveStats, SolveVerdict, UnknownCause};
+pub use outcome::{CounterRow, SolveOutcome, SolveStats, SolveVerdict, UnknownCause};
 pub use pipeline::{PipelineConfig, PipelineDecision, PreparedRequest, SolvePipeline};
 pub use registry::BackendRegistry;
 pub use request::{Artifacts, SolveRequest};

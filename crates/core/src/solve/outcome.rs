@@ -91,6 +91,33 @@ impl fmt::Display for SolveVerdict {
     }
 }
 
+/// One `key=value` counter of a telemetry record: its wire key and how to
+/// read and overwrite its value. A record lists its counters once, in a
+/// table of these rows, and every encoder, parser and merge of the record
+/// walks that table.
+#[derive(Debug)]
+pub struct CounterRow<T> {
+    /// The key the counter is written under, as `key=value`.
+    pub key: &'static str,
+    /// Reads the counter.
+    pub get: fn(&T) -> u64,
+    /// Overwrites the counter.
+    pub set: fn(&mut T, u64),
+}
+
+/// A [`CounterRow`] under the wire key `$key` that reads and writes the
+/// `u64` field `$field` of its record.
+#[macro_export]
+macro_rules! counter_row {
+    ($key:literal, $field:ident) => {
+        $crate::CounterRow {
+            key: $key,
+            get: |record| record.$field,
+            set: |record, value| record.$field = value,
+        }
+    };
+}
+
 /// Merged telemetry of one solve, unifying the classical [`SolverStats`], the
 /// hybrid flow's [`HybridStats`] and the NBL engines' [`MeanEstimate`]
 /// telemetry under one roof.
@@ -135,6 +162,44 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
+    /// Every counter, in the order a `STATS` frame carries them. Wall time
+    /// travels in whole microseconds. The winner and the last estimate are
+    /// not counters and stay with the process that solved. Some keys are
+    /// shorter than their fields (`learned` for `learned_clauses`): peers
+    /// parse the keys, and `satd-bench` reads the field names.
+    pub const COUNTERS: &'static [CounterRow<SolveStats>] = &[
+        counter_row!("decisions", decisions),
+        counter_row!("conflicts", conflicts),
+        counter_row!("propagations", propagations),
+        counter_row!("restarts", restarts),
+        counter_row!("learned", learned_clauses),
+        counter_row!("tried", assignments_tried),
+        counter_row!("flips", flips),
+        counter_row!("checks", coprocessor_checks),
+        counter_row!("samples", samples),
+        CounterRow {
+            key: "wall-us",
+            get: |stats| u64::try_from(stats.wall_time.as_micros()).unwrap_or(u64::MAX),
+            set: |stats, micros| stats.wall_time = Duration::from_micros(micros),
+        },
+        counter_row!("cache-hits", cache_hits),
+        counter_row!("pre-vars-removed", preprocessed_vars_removed),
+        counter_row!("clauses-exported", clauses_exported),
+        counter_row!("clauses-imported", clauses_imported),
+    ];
+
+    /// Adds every counter of `other` into `self`, saturating instead of
+    /// overflowing. Wall time is summed exactly, not in the table's whole
+    /// microseconds.
+    pub fn merge(&mut self, other: &SolveStats) {
+        let wall_time = self.wall_time.saturating_add(other.wall_time);
+        for row in Self::COUNTERS {
+            let sum = (row.get)(self).saturating_add((row.get)(other));
+            (row.set)(self, sum);
+        }
+        self.wall_time = wall_time;
+    }
+
     /// Folds a classical solver's statistics into the unified view.
     pub fn absorb_solver(&mut self, stats: &SolverStats) {
         self.decisions += stats.decisions;
@@ -312,6 +377,36 @@ mod tests {
         let rendered = stats.to_string();
         assert!(rendered.contains("decisions=5"));
         assert!(rendered.contains("winner=cdcl"));
+    }
+
+    #[test]
+    fn merge_sums_every_counter_and_the_exact_wall_time() {
+        let mut total = SolveStats {
+            wall_time: Duration::from_nanos(1_500),
+            decisions: u64::MAX - 1,
+            ..SolveStats::default()
+        };
+        let mut part = SolveStats {
+            wall_time: Duration::from_nanos(2_700),
+            winner: Some("cdcl"),
+            ..SolveStats::default()
+        };
+        for (index, row) in SolveStats::COUNTERS.iter().enumerate() {
+            if row.key != "wall-us" && row.key != "decisions" {
+                (row.set)(&mut total, index as u64);
+                (row.set)(&mut part, 100 * index as u64);
+            }
+        }
+        part.decisions = 5;
+        total.merge(&part);
+        for (index, row) in SolveStats::COUNTERS.iter().enumerate() {
+            if row.key != "wall-us" && row.key != "decisions" {
+                assert_eq!((row.get)(&total), 101 * index as u64, "{}", row.key);
+            }
+        }
+        assert_eq!(total.decisions, u64::MAX, "counters saturate");
+        assert_eq!(total.wall_time, Duration::from_nanos(4_200));
+        assert_eq!(total.winner, None, "merge sums counters only");
     }
 
     #[test]

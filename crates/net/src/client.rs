@@ -15,10 +15,9 @@
 //! draining the socket, so a wait that times out abandons nothing and the
 //! frame is still collectable later.
 
-use crate::protocol::{
-    Frame, SolveFrame, WireBacklog, WireJobStatus, WireMetrics, WireStats, WireVerdict,
-};
+use crate::protocol::{Frame, SolveFrame, WireBacklog, WireMetrics, WireVerdict};
 use crate::server::shutdown_stream;
+use nbl_sat_core::{JobStatus, SolveStats};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{BufReader, BufWriter};
@@ -63,15 +62,17 @@ impl From<std::io::Error> for NetError {
 
 /// A finished remote job: the verdict, the model when one was streamed, and
 /// the completion rank on this connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemoteOutcome {
     /// The verdict of the `RESULT` frame.
     pub verdict: WireVerdict,
     /// The model `v`-line's literals (DIMACS-signed), when the job requested
     /// a model and was satisfiable.
     pub model: Option<Vec<i64>>,
-    /// The job's `STATS` counters, when the `SOLVE` asked `stats=true`.
-    pub stats: Option<WireStats>,
+    /// The job's `STATS` counters, when the `SOLVE` asked `stats=true` or
+    /// the job was a `SESSION ASSUME`. Only [`SolveStats::COUNTERS`] travel;
+    /// the other fields read as their defaults.
+    pub stats: Option<SolveStats>,
     /// The `f`-line's failed-assumption core (DIMACS-signed), when a
     /// `SESSION ASSUME` answered UNSAT under its assumptions. An empty
     /// vector means the session's clause database is UNSAT on its own.
@@ -100,7 +101,7 @@ struct ClientState {
     /// Models staged until the job's `RESULT` (the completion marker) lands.
     staged_models: HashMap<u64, Vec<i64>>,
     /// `STATS` counters staged until the job's `RESULT` lands.
-    staged_stats: HashMap<u64, WireStats>,
+    staged_stats: HashMap<u64, SolveStats>,
     /// Failed-assumption cores staged until the job's `RESULT` lands.
     staged_failed: HashMap<u64, Vec<i64>>,
     /// `SESSIONOK` acks as `(session, depth)`, FIFO — like `queued`, exact
@@ -110,7 +111,7 @@ struct ClientState {
     /// `CAPS` replies (the `sessions` flag), FIFO.
     caps: VecDeque<bool>,
     /// `INFO` replies, by job id, with the server's live queue gauges.
-    infos: HashMap<u64, VecDeque<(WireJobStatus, Option<WireBacklog>)>>,
+    infos: HashMap<u64, VecDeque<(JobStatus, Option<WireBacklog>)>>,
     /// `METRICS` snapshot replies, FIFO — exact pairing holds because
     /// metrics requests are serialised under the request lock.
     metrics: VecDeque<WireMetrics>,
@@ -124,6 +125,16 @@ struct ClientState {
     arrivals: u64,
     /// Set once the reader thread exits; wakes and fails every pending wait.
     closed: bool,
+}
+
+impl ClientState {
+    /// Pops the oldest connection-scoped `ERR -` as the failure of the
+    /// request that is waiting for its reply.
+    fn remote_error<T>(&mut self) -> Option<Result<T, NetError>> {
+        self.connection_errors
+            .pop_front()
+            .map(|message| Err(NetError::Remote(message)))
+    }
 }
 
 struct ClientShared {
@@ -318,6 +329,14 @@ impl NblSatClient {
         })
     }
 
+    /// Takes the request lock, so this request's uncorrelated reply cannot
+    /// be swapped with another thread's.
+    fn serialise(&self) -> MutexGuard<'_, ()> {
+        self.request_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn send(&self, frame: &Frame) -> std::io::Result<()> {
         let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         frame.write_to(&mut *writer)
@@ -326,31 +345,28 @@ impl NblSatClient {
     /// Submits a job and blocks until the server's `QUEUED` ack assigns its
     /// id. The returned ticket observes only this job.
     pub fn submit(&self, solve: SolveFrame) -> Result<RemoteJob<'_>, NetError> {
-        let _serialised = self
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.serialise();
         self.send(&Frame::Solve(solve))?;
-        let id = self.shared.wait_for(self.read_timeout, |state| {
+        let id = self.wait_queued()?;
+        Ok(RemoteJob { client: self, id })
+    }
+
+    /// Blocks for the `QUEUED` ack of a `SOLVE` or `SESSION ASSUME` sent
+    /// under the request lock. Either can be rejected before queueing (a bad
+    /// DIMACS body, an unknown session): the connection-scoped ERR is then
+    /// this request's failure.
+    fn wait_queued(&self) -> Result<u64, NetError> {
+        self.shared.wait_for(self.read_timeout, |state| {
             if let Some(id) = state.queued.pop_front() {
                 return Some(Ok(id));
             }
-            // A SOLVE can be rejected before queueing (bad DIMACS body):
-            // surface the connection-scoped ERR as this submit's failure.
-            state
-                .connection_errors
-                .pop_front()
-                .map(|message| Err(NetError::Remote(message)))
-        })?;
-        Ok(RemoteJob { client: self, id })
+            state.remote_error()
+        })
     }
 
     /// Liveness probe: sends `PING`, blocks for `PONG`.
     pub fn ping(&self) -> Result<(), NetError> {
-        let _serialised = self
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.serialise();
         self.send(&Frame::Ping)?;
         self.wait_control(ControlReply::Pong)
     }
@@ -363,10 +379,7 @@ impl NblSatClient {
         checks: Option<u64>,
         wall_ms: Option<u64>,
     ) -> Result<(), NetError> {
-        let _serialised = self
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.serialise();
         self.send(&Frame::Refill {
             samples,
             checks,
@@ -378,10 +391,7 @@ impl NblSatClient {
     /// Asks the server to wind down gracefully; blocks for `BYE` (which the
     /// server sends only after draining this connection's in-flight jobs).
     pub fn shutdown_server(&self) -> Result<(), NetError> {
-        let _serialised = self
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.serialise();
         self.send(&Frame::Shutdown)?;
         self.wait_control(ControlReply::Bye)
     }
@@ -397,10 +407,7 @@ impl NblSatClient {
                     )))
                 });
             }
-            if let Some(message) = state.connection_errors.pop_front() {
-                return Some(Err(NetError::Remote(message)));
-            }
-            None
+            state.remote_error()
         })
     }
 
@@ -409,10 +416,7 @@ impl NblSatClient {
     /// `HELLO` answer `ERR -`, which surfaces as `Ok(false)` — so this is
     /// safe to use as a feature probe against any protocol generation.
     pub fn hello(&self) -> Result<bool, NetError> {
-        let _serialised = self
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.serialise();
         self.send(&Frame::Hello)?;
         self.shared.wait_for(self.read_timeout, |state| {
             if let Some(sessions) = state.caps.pop_front() {
@@ -427,29 +431,20 @@ impl NblSatClient {
     /// per-backend latency aggregates); sends `METRICS`, blocks for the
     /// `METRICS` response frame.
     pub fn metrics(&self) -> Result<WireMetrics, NetError> {
-        let _serialised = self
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.serialise();
         self.send(&Frame::MetricsRequest)?;
         self.shared.wait_for(self.read_timeout, |state| {
             if let Some(metrics) = state.metrics.pop_front() {
                 return Some(Ok(metrics));
             }
-            state
-                .connection_errors
-                .pop_front()
-                .map(|message| Err(NetError::Remote(message)))
+            state.remote_error()
         })
     }
 
     /// Opens an incremental solving session pinned to `backend` on the
     /// server; blocks for the `SESSIONOK` ack that assigns the session id.
     pub fn open_session(&self, backend: &str) -> Result<RemoteSession<'_>, NetError> {
-        let _serialised = self
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.serialise();
         self.send(&Frame::SessionOpen {
             backend: backend.to_owned(),
         })?;
@@ -457,10 +452,7 @@ impl NblSatClient {
             if let Some(ack) = state.session_oks.pop_front() {
                 return Some(Ok(ack));
             }
-            state
-                .connection_errors
-                .pop_front()
-                .map(|message| Err(NetError::Remote(message)))
+            state.remote_error()
         })?;
         Ok(RemoteSession { client: self, id })
     }
@@ -479,10 +471,7 @@ impl NblSatClient {
                     )))
                 });
             }
-            state
-                .connection_errors
-                .pop_front()
-                .map(|message| Err(NetError::Remote(message)))
+            state.remote_error()
         })
     }
 
@@ -574,14 +563,14 @@ impl RemoteJob<'_> {
     }
 
     /// Queries the job's lifecycle stage over the wire (`STATUS` → `INFO`).
-    pub fn status(&self) -> Result<WireJobStatus, NetError> {
+    pub fn status(&self) -> Result<JobStatus, NetError> {
         self.status_detailed().map(|(status, _backlog)| status)
     }
 
     /// Like [`RemoteJob::status`], but also returns the server's live queue
     /// gauges from the `INFO` answer (`None` when talking to a server that
     /// predates them).
-    pub fn status_detailed(&self) -> Result<(WireJobStatus, Option<WireBacklog>), NetError> {
+    pub fn status_detailed(&self) -> Result<(JobStatus, Option<WireBacklog>), NetError> {
         self.client.send(&Frame::Status { job: self.id })?;
         let id = self.id;
         self.client
@@ -637,11 +626,7 @@ impl<'a> RemoteSession<'a> {
     /// Pushes one frame of clauses (raw DIMACS clause lines; the `p cnf`
     /// header is optional) and returns the session's new push depth.
     pub fn add_clauses(&self, dimacs: &str) -> Result<u64, NetError> {
-        let _serialised = self
-            .client
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.client.serialise();
         self.client.send(&Frame::SessionAddClauses {
             session: self.id,
             body: dimacs.lines().map(str::to_owned).collect(),
@@ -666,11 +651,7 @@ impl<'a> RemoteSession<'a> {
         max_samples: Option<u64>,
         max_checks: Option<u64>,
     ) -> Result<RemoteJob<'a>, NetError> {
-        let _serialised = self
-            .client
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.client.serialise();
         self.client.send(&Frame::SessionAssume {
             session: self.id,
             literals: literals.to_vec(),
@@ -678,18 +659,7 @@ impl<'a> RemoteSession<'a> {
             max_samples,
             max_checks,
         })?;
-        let id = self
-            .client
-            .shared
-            .wait_for(self.client.read_timeout, |state| {
-                if let Some(id) = state.queued.pop_front() {
-                    return Some(Ok(id));
-                }
-                state
-                    .connection_errors
-                    .pop_front()
-                    .map(|message| Err(NetError::Remote(message)))
-            })?;
+        let id = self.client.wait_queued()?;
         Ok(RemoteJob {
             client: self.client,
             id,
@@ -699,11 +669,7 @@ impl<'a> RemoteSession<'a> {
     /// Pops the most recent clause frame and returns the new depth. Popping
     /// an empty session is a remote error.
     pub fn pop(&self) -> Result<u64, NetError> {
-        let _serialised = self
-            .client
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.client.serialise();
         self.client.send(&Frame::SessionPop { session: self.id })?;
         self.client.wait_session_ok(self.id)
     }
@@ -712,11 +678,7 @@ impl<'a> RemoteSession<'a> {
     /// for the ack. A still-running `assume` of this session finishes (and
     /// its completion streams) before the ack arrives.
     pub fn close(self) -> Result<(), NetError> {
-        let _serialised = self
-            .client
-            .request_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialised = self.client.serialise();
         self.client
             .send(&Frame::SessionClose { session: self.id })?;
         self.client.wait_session_ok(self.id).map(|_depth| ())

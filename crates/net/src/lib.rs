@@ -49,8 +49,7 @@ pub mod server;
 
 pub use client::{ClientConfig, NblSatClient, NetError, RemoteJob, RemoteOutcome, RemoteSession};
 pub use protocol::{
-    Frame, ProtocolError, SolveFrame, WireArtifacts, WireBackendLatency, WireBacklog, WireCause,
-    WireJobStatus, WireMetrics, WirePriority, WireStats, WireVerdict, MAX_BODY_LINES,
-    MAX_LINE_BYTES,
+    Frame, ProtocolError, SolveFrame, WireArtifacts, WireBackendLatency, WireBacklog, WireMetrics,
+    WireVerdict, MAX_BODY_LINES, MAX_LINE_BYTES,
 };
 pub use server::{NblSatServer, ServerConfig};

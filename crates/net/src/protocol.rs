@@ -75,6 +75,11 @@
 //! after the lifecycle token; the keys are optional on the wire, so `INFO`
 //! frames from servers predating them still parse (the backlog reads absent).
 //!
+//! `STATUS` answers for `SESSION ASSUME` jobs too. Such a job reads `running`
+//! from its `QUEUED` ack until its outcome exists, even while it waits behind
+//! an earlier call of the same session (a session runs its calls in order),
+//! and `finished` after that.
+//!
 //! # Incremental sessions
 //!
 //! `SESSION OPEN` pins a persistent incremental solver to the connection and
@@ -99,6 +104,22 @@
 //! wrap above is for readability. Causes are `cancelled`, `incomplete`,
 //! `budget-wall-clock`, `budget-samples` and `budget-checks`.
 //!
+//! # Types
+//!
+//! Frames carry the core types wherever the wire says the same thing:
+//! [`JobPriority`], [`JobStatus`], [`UnknownCause`] and [`SolveStats`], whose
+//! [`SolveStats::COUNTERS`] table is the `STATS` key list. The wire keeps a
+//! type of its own only where it differs from the core:
+//!
+//! - [`WireArtifacts`] admits only `verdict|model` (there is no `cube`
+//!   token), so it enforces the wire's subset of [`Artifacts`].
+//! - [`WireVerdict`] adds the SAT-competition exit code, and
+//!   [`WireMetrics`] with [`WireBackendLatency`] carries the count, total and
+//!   maximum of each backend's latency instead of the full histograms of
+//!   [`MetricsSnapshot`]. The `satd-bench` benchmark builds against all
+//!   three, so they stay public types.
+//! - [`WireBacklog`] carries the queue gauges of an `INFO` answer.
+//!
 //! # Strictness
 //!
 //! The parser is strict: unknown verbs, unknown or duplicate keys, missing
@@ -110,10 +131,10 @@
 //! should close).
 
 use nbl_sat_core::{
-    Artifacts, Budget, ExhaustedResource, JobPriority, JobStatus, MetricsSnapshot, SolveStats,
-    UnknownCause,
+    counter_row, Artifacts, Budget, CounterRow, ExhaustedResource, JobPriority, JobStatus,
+    MetricsSnapshot, SolveStats, UnknownCause,
 };
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, Read, Write};
 use std::time::Duration;
 
@@ -166,59 +187,66 @@ fn malformed(message: impl Into<String>) -> ProtocolError {
     ProtocolError::Malformed(message.into())
 }
 
-/// Scheduling priority on the wire. Mirrors [`JobPriority`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WirePriority {
-    /// `priority=low`
-    Low,
-    /// `priority=normal`
-    #[default]
-    Normal,
-    /// `priority=high`
-    High,
-}
-
-impl WirePriority {
-    fn token(self) -> &'static str {
-        match self {
-            WirePriority::Low => "low",
-            WirePriority::Normal => "normal",
-            WirePriority::High => "high",
-        }
-    }
-
-    fn parse(token: &str) -> Result<Self, ProtocolError> {
-        match token {
-            "low" => Ok(WirePriority::Low),
-            "normal" => Ok(WirePriority::Normal),
-            "high" => Ok(WirePriority::High),
-            other => Err(malformed(format!("unknown priority '{other}'"))),
-        }
+fn priority_token(priority: JobPriority) -> &'static str {
+    match priority {
+        JobPriority::Low => "low",
+        JobPriority::Normal => "normal",
+        JobPriority::High => "high",
     }
 }
 
-impl From<WirePriority> for JobPriority {
-    fn from(priority: WirePriority) -> Self {
-        match priority {
-            WirePriority::Low => JobPriority::Low,
-            WirePriority::Normal => JobPriority::Normal,
-            WirePriority::High => JobPriority::High,
-        }
+fn parse_priority(token: &str) -> Result<JobPriority, ProtocolError> {
+    match token {
+        "low" => Ok(JobPriority::Low),
+        "normal" => Ok(JobPriority::Normal),
+        "high" => Ok(JobPriority::High),
+        other => Err(malformed(format!("unknown priority '{other}'"))),
     }
 }
 
-impl From<JobPriority> for WirePriority {
-    fn from(priority: JobPriority) -> Self {
-        match priority {
-            JobPriority::Low => WirePriority::Low,
-            JobPriority::Normal => WirePriority::Normal,
-            JobPriority::High => WirePriority::High,
-        }
+fn status_token(status: JobStatus) -> &'static str {
+    match status {
+        JobStatus::Queued => "queued",
+        JobStatus::Running => "running",
+        JobStatus::Finished => "finished",
+    }
+}
+
+fn parse_status(token: &str) -> Result<JobStatus, ProtocolError> {
+    match token {
+        "queued" => Ok(JobStatus::Queued),
+        "running" => Ok(JobStatus::Running),
+        "finished" => Ok(JobStatus::Finished),
+        other => Err(malformed(format!("unknown job status '{other}'"))),
+    }
+}
+
+fn cause_token(cause: UnknownCause) -> &'static str {
+    match cause {
+        UnknownCause::Cancelled => "cancelled",
+        UnknownCause::Incomplete => "incomplete",
+        UnknownCause::BudgetExhausted(ExhaustedResource::WallClock) => "budget-wall-clock",
+        UnknownCause::BudgetExhausted(ExhaustedResource::Samples) => "budget-samples",
+        UnknownCause::BudgetExhausted(ExhaustedResource::CoprocessorChecks) => "budget-checks",
+    }
+}
+
+fn parse_cause(token: &str) -> Result<UnknownCause, ProtocolError> {
+    match token {
+        "cancelled" => Ok(UnknownCause::Cancelled),
+        "incomplete" => Ok(UnknownCause::Incomplete),
+        "budget-wall-clock" => Ok(UnknownCause::BudgetExhausted(ExhaustedResource::WallClock)),
+        "budget-samples" => Ok(UnknownCause::BudgetExhausted(ExhaustedResource::Samples)),
+        "budget-checks" => Ok(UnknownCause::BudgetExhausted(
+            ExhaustedResource::CoprocessorChecks,
+        )),
+        other => Err(malformed(format!("unknown cause '{other}'"))),
     }
 }
 
 /// Requested artifacts on the wire. Only the verdict and the model can be
-/// streamed back, so `artifacts=cube` is not part of the grammar.
+/// streamed back, so `artifacts=cube` is not part of the grammar; this type
+/// enforces that subset of [`Artifacts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireArtifacts {
     /// `artifacts=verdict` — only the `RESULT` line.
@@ -255,101 +283,8 @@ impl From<WireArtifacts> for Artifacts {
     }
 }
 
-/// A job's lifecycle stage as reported by `INFO`. Mirrors [`JobStatus`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireJobStatus {
-    /// Waiting in the service queue.
-    Queued,
-    /// Claimed by a worker.
-    Running,
-    /// The `RESULT` frame is available (or already delivered).
-    Finished,
-}
-
-impl WireJobStatus {
-    fn token(self) -> &'static str {
-        match self {
-            WireJobStatus::Queued => "queued",
-            WireJobStatus::Running => "running",
-            WireJobStatus::Finished => "finished",
-        }
-    }
-
-    fn parse(token: &str) -> Result<Self, ProtocolError> {
-        match token {
-            "queued" => Ok(WireJobStatus::Queued),
-            "running" => Ok(WireJobStatus::Running),
-            "finished" => Ok(WireJobStatus::Finished),
-            other => Err(malformed(format!("unknown job status '{other}'"))),
-        }
-    }
-}
-
-impl From<JobStatus> for WireJobStatus {
-    fn from(status: JobStatus) -> Self {
-        match status {
-            JobStatus::Queued => WireJobStatus::Queued,
-            JobStatus::Running => WireJobStatus::Running,
-            JobStatus::Finished => WireJobStatus::Finished,
-        }
-    }
-}
-
-/// Why a `RESULT` was `UNKNOWN`. Mirrors [`UnknownCause`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireCause {
-    /// The job was cancelled (per-job `CANCEL`, server abort).
-    Cancelled,
-    /// An incomplete backend gave up within its own limits.
-    Incomplete,
-    /// The wall-clock allowance ran out.
-    BudgetWallClock,
-    /// The noise-sample allowance ran out.
-    BudgetSamples,
-    /// The coprocessor-check allowance ran out.
-    BudgetChecks,
-}
-
-impl WireCause {
-    fn token(self) -> &'static str {
-        match self {
-            WireCause::Cancelled => "cancelled",
-            WireCause::Incomplete => "incomplete",
-            WireCause::BudgetWallClock => "budget-wall-clock",
-            WireCause::BudgetSamples => "budget-samples",
-            WireCause::BudgetChecks => "budget-checks",
-        }
-    }
-
-    fn parse(token: &str) -> Result<Self, ProtocolError> {
-        match token {
-            "cancelled" => Ok(WireCause::Cancelled),
-            "incomplete" => Ok(WireCause::Incomplete),
-            "budget-wall-clock" => Ok(WireCause::BudgetWallClock),
-            "budget-samples" => Ok(WireCause::BudgetSamples),
-            "budget-checks" => Ok(WireCause::BudgetChecks),
-            other => Err(malformed(format!("unknown cause '{other}'"))),
-        }
-    }
-}
-
-impl From<UnknownCause> for WireCause {
-    fn from(cause: UnknownCause) -> Self {
-        match cause {
-            UnknownCause::Cancelled => WireCause::Cancelled,
-            UnknownCause::Incomplete => WireCause::Incomplete,
-            UnknownCause::BudgetExhausted(ExhaustedResource::WallClock) => {
-                WireCause::BudgetWallClock
-            }
-            UnknownCause::BudgetExhausted(ExhaustedResource::Samples) => WireCause::BudgetSamples,
-            UnknownCause::BudgetExhausted(ExhaustedResource::CoprocessorChecks) => {
-                WireCause::BudgetChecks
-            }
-        }
-    }
-}
-
-/// The three-valued verdict of a `RESULT` frame.
+/// The three-valued verdict of a `RESULT` frame, with its SAT-competition
+/// exit code. The `satd-bench` benchmark matches on this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireVerdict {
     /// `s SATISFIABLE`
@@ -357,7 +292,7 @@ pub enum WireVerdict {
     /// `s UNSATISFIABLE`
     Unsatisfiable,
     /// `s UNKNOWN <cause>`
-    Unknown(WireCause),
+    Unknown(UnknownCause),
 }
 
 impl WireVerdict {
@@ -387,89 +322,7 @@ impl fmt::Display for WireVerdict {
         match self {
             WireVerdict::Satisfiable => write!(f, "s SATISFIABLE"),
             WireVerdict::Unsatisfiable => write!(f, "s UNSATISFIABLE"),
-            WireVerdict::Unknown(cause) => write!(f, "s UNKNOWN {}", cause.token()),
-        }
-    }
-}
-
-/// Search-statistics counters carried by a `STATS` frame. Mirrors the wire
-/// subset of [`SolveStats`] (the non-numeric fields — winner attribution, the
-/// sampled engine's estimate — stay server-side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct WireStats {
-    /// `decisions=` — branching decisions.
-    pub decisions: u64,
-    /// `conflicts=` — conflicts hit.
-    pub conflicts: u64,
-    /// `propagations=` — unit propagations.
-    pub propagations: u64,
-    /// `restarts=` — restarts taken.
-    pub restarts: u64,
-    /// `learned=` — clauses learned.
-    pub learned: u64,
-    /// `tried=` — complete assignments tried.
-    pub tried: u64,
-    /// `flips=` — local-search flips.
-    pub flips: u64,
-    /// `checks=` — NBL coprocessor checks.
-    pub checks: u64,
-    /// `samples=` — noise samples drawn.
-    pub samples: u64,
-    /// `wall-us=` — wall-clock microseconds spent solving.
-    pub wall_us: u64,
-    /// `cache-hits=` — verdict-cache hits that answered this job.
-    pub cache_hits: u64,
-    /// `pre-vars-removed=` — variables the preprocessor eliminated before
-    /// dispatch.
-    pub pre_vars_removed: u64,
-    /// `clauses-exported=` — clauses published into the cooperative
-    /// portfolio's shared pool.
-    pub clauses_exported: u64,
-    /// `clauses-imported=` — clauses consumed from the cooperative
-    /// portfolio's shared pool.
-    pub clauses_imported: u64,
-}
-
-impl WireStats {
-    /// Converts back into a [`SolveStats`] (non-wire fields default).
-    pub fn to_solve_stats(self) -> SolveStats {
-        SolveStats {
-            decisions: self.decisions,
-            conflicts: self.conflicts,
-            propagations: self.propagations,
-            restarts: self.restarts,
-            learned_clauses: self.learned,
-            assignments_tried: self.tried,
-            flips: self.flips,
-            coprocessor_checks: self.checks,
-            samples: self.samples,
-            wall_time: Duration::from_micros(self.wall_us),
-            cache_hits: self.cache_hits,
-            preprocessed_vars_removed: self.pre_vars_removed,
-            clauses_exported: self.clauses_exported,
-            clauses_imported: self.clauses_imported,
-            ..SolveStats::default()
-        }
-    }
-}
-
-impl From<&SolveStats> for WireStats {
-    fn from(stats: &SolveStats) -> Self {
-        WireStats {
-            decisions: stats.decisions,
-            conflicts: stats.conflicts,
-            propagations: stats.propagations,
-            restarts: stats.restarts,
-            learned: stats.learned_clauses,
-            tried: stats.assignments_tried,
-            flips: stats.flips,
-            checks: stats.coprocessor_checks,
-            samples: stats.samples,
-            wall_us: u64::try_from(stats.wall_time.as_micros()).unwrap_or(u64::MAX),
-            cache_hits: stats.cache_hits,
-            pre_vars_removed: stats.preprocessed_vars_removed,
-            clauses_exported: stats.clauses_exported,
-            clauses_imported: stats.clauses_imported,
+            WireVerdict::Unknown(cause) => write!(f, "s UNKNOWN {}", cause_token(*cause)),
         }
     }
 }
@@ -489,8 +342,19 @@ pub struct WireBacklog {
     pub low: u64,
 }
 
+impl WireBacklog {
+    /// The gauges, in wire order.
+    const COUNTERS: &'static [CounterRow<WireBacklog>] = &[
+        counter_row!("queue-depth", queue_depth),
+        counter_row!("backlog-high", high),
+        counter_row!("backlog-normal", normal),
+        counter_row!("backlog-low", low),
+    ];
+}
+
 /// One backend's dispatch-latency aggregate, carried as a `METRICS` body
-/// line: `backend <name> count=<u64> total-us=<u64> max-us=<u64>`.
+/// line: `backend <name> count=<u64> total-us=<u64> max-us=<u64>`. The core
+/// keeps a histogram per backend instead; `satd-bench` reads these counts.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct WireBackendLatency {
     /// The backend's registry name.
@@ -504,6 +368,13 @@ pub struct WireBackendLatency {
 }
 
 impl WireBackendLatency {
+    /// The body line's counters, in wire order.
+    const COUNTERS: &'static [CounterRow<WireBackendLatency>] = &[
+        counter_row!("count", count),
+        counter_row!("total-us", total_us),
+        counter_row!("max-us", max_us),
+    ];
+
     /// Mean dispatch latency in microseconds (0 when nothing ran).
     pub fn mean_us(&self) -> u64 {
         self.total_us.checked_div(self.count).unwrap_or(0)
@@ -513,9 +384,9 @@ impl WireBackendLatency {
 /// The server's point-in-time pipeline snapshot answering a `METRICS`
 /// request: queue gauges, verdict-cache and preprocessing counters, budget
 /// spend, and one [`WireBackendLatency`] body line per backend that has
-/// dispatched at least one job. Mirrors the wire subset of
-/// [`MetricsSnapshot`] (latency histograms stay server-side; the body lines
-/// carry the count/total/max aggregate).
+/// dispatched at least one job. It is the wire subset of [`MetricsSnapshot`]:
+/// latency histograms stay server-side, and the body lines carry the
+/// count/total/max aggregate. `satd-bench` reads its counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireMetrics {
     /// `queue-depth=` — jobs queued and not yet picked up.
@@ -553,6 +424,27 @@ pub struct WireMetrics {
     pub clauses_imported: u64,
     /// Per-backend dispatch-latency aggregates (the body lines).
     pub backends: Vec<WireBackendLatency>,
+}
+
+impl WireMetrics {
+    /// The header counters, in wire order.
+    const COUNTERS: &'static [CounterRow<WireMetrics>] = &[
+        counter_row!("queue-depth", queue_depth),
+        counter_row!("backlog-high", backlog_high),
+        counter_row!("backlog-normal", backlog_normal),
+        counter_row!("backlog-low", backlog_low),
+        counter_row!("cache-hits", cache_hits),
+        counter_row!("cache-misses", cache_misses),
+        counter_row!("cache-evictions", cache_evictions),
+        counter_row!("cache-entries", cache_entries),
+        counter_row!("pre-vars-removed", pre_vars_removed),
+        counter_row!("pre-clauses-removed", pre_clauses_removed),
+        counter_row!("pre-solved", pre_solved),
+        counter_row!("budget-samples-spent", budget_samples_spent),
+        counter_row!("budget-checks-spent", budget_checks_spent),
+        counter_row!("clauses-exported", clauses_exported),
+        counter_row!("clauses-imported", clauses_imported),
+    ];
 }
 
 impl From<&MetricsSnapshot> for WireMetrics {
@@ -596,7 +488,7 @@ pub struct SolveFrame {
     /// Deterministic seed handed to stochastic backends.
     pub seed: u64,
     /// Scheduling priority.
-    pub priority: WirePriority,
+    pub priority: JobPriority,
     /// Requested artifacts.
     pub artifacts: WireArtifacts,
     /// Wall-clock budget cap in milliseconds, if any.
@@ -630,22 +522,32 @@ impl SolveFrame {
 
     /// The [`Budget`] the frame's caps describe.
     pub fn budget(&self) -> Budget {
-        let mut budget = Budget::unlimited();
-        if let Some(ms) = self.wall_ms {
-            budget = budget.with_wall_time(Duration::from_millis(ms));
-        }
-        if let Some(samples) = self.max_samples {
-            budget = budget.with_max_samples(samples);
-        }
-        if let Some(checks) = self.max_checks {
-            budget = budget.with_max_checks(checks);
-        }
-        budget
+        caps_budget(self.wall_ms, self.max_samples, self.max_checks)
     }
 }
 
+/// The [`Budget`] that the `wall-ms`, `samples` and `checks` caps of a
+/// `SOLVE` or `SESSION ASSUME` frame describe.
+pub(crate) fn caps_budget(
+    wall_ms: Option<u64>,
+    max_samples: Option<u64>,
+    max_checks: Option<u64>,
+) -> Budget {
+    let mut budget = Budget::unlimited();
+    if let Some(ms) = wall_ms {
+        budget = budget.with_wall_time(Duration::from_millis(ms));
+    }
+    if let Some(samples) = max_samples {
+        budget = budget.with_max_samples(samples);
+    }
+    if let Some(checks) = max_checks {
+        budget = budget.with_max_checks(checks);
+    }
+    budget
+}
+
 /// One protocol frame, either direction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client: submit a job.
     Solve(SolveFrame),
@@ -731,8 +633,9 @@ pub enum Frame {
     Stats {
         /// The job the statistics belong to.
         job: u64,
-        /// The counters.
-        stats: WireStats,
+        /// The counters of [`SolveStats::COUNTERS`]; the other fields are
+        /// not sent and parse as their defaults.
+        stats: SolveStats,
     },
     /// Server: a job's final verdict — the completion marker.
     Result {
@@ -755,7 +658,7 @@ pub enum Frame {
         /// The queried job.
         job: u64,
         /// Its lifecycle stage.
-        status: WireJobStatus,
+        status: JobStatus,
         /// The service's live queue gauges at answer time. Optional on the
         /// wire for compatibility with older servers; always sent by this
         /// one.
@@ -796,7 +699,6 @@ pub enum Frame {
 impl Frame {
     /// Serialises the frame to its exact wire text, including newlines.
     pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         match self {
             Frame::Solve(solve) => {
@@ -805,25 +707,21 @@ impl Frame {
                     "SOLVE {} seed={} priority={} artifacts={}",
                     solve.backend,
                     solve.seed,
-                    solve.priority.token(),
+                    priority_token(solve.priority),
                     solve.artifacts.token()
                 );
-                if let Some(ms) = solve.wall_ms {
-                    let _ = write!(out, " wall-ms={ms}");
-                }
-                if let Some(samples) = solve.max_samples {
-                    let _ = write!(out, " samples={samples}");
-                }
-                if let Some(checks) = solve.max_checks {
-                    let _ = write!(out, " checks={checks}");
-                }
+                write_present(
+                    &mut out,
+                    &[
+                        ("wall-ms", solve.wall_ms),
+                        ("samples", solve.max_samples),
+                        ("checks", solve.max_checks),
+                    ],
+                );
                 if solve.stats {
                     out.push_str(" stats=true");
                 }
-                let _ = writeln!(out, " body-lines={}", solve.body.len());
-                for line in &solve.body {
-                    let _ = writeln!(out, "{line}");
-                }
+                write_body(&mut out, &solve.body);
             }
             Frame::Cancel { job } => {
                 let _ = writeln!(out, "CANCEL {job}");
@@ -836,16 +734,15 @@ impl Frame {
                 checks,
                 wall_ms,
             } => {
-                let _ = write!(out, "REFILL");
-                if let Some(samples) = samples {
-                    let _ = write!(out, " samples={samples}");
-                }
-                if let Some(checks) = checks {
-                    let _ = write!(out, " checks={checks}");
-                }
-                if let Some(ms) = wall_ms {
-                    let _ = write!(out, " wall-ms={ms}");
-                }
+                out.push_str("REFILL");
+                write_present(
+                    &mut out,
+                    &[
+                        ("samples", *samples),
+                        ("checks", *checks),
+                        ("wall-ms", *wall_ms),
+                    ],
+                );
                 out.push('\n');
             }
             Frame::Ping => out.push_str("PING\n"),
@@ -855,14 +752,8 @@ impl Frame {
                 let _ = writeln!(out, "SESSION OPEN backend={backend}");
             }
             Frame::SessionAddClauses { session, body } => {
-                let _ = writeln!(
-                    out,
-                    "SESSION ADDCLAUSES {session} body-lines={}",
-                    body.len()
-                );
-                for line in body {
-                    let _ = writeln!(out, "{line}");
-                }
+                let _ = write!(out, "SESSION ADDCLAUSES {session}");
+                write_body(&mut out, body);
             }
             Frame::SessionAssume {
                 session,
@@ -872,24 +763,17 @@ impl Frame {
                 max_checks,
             } => {
                 let _ = write!(out, "SESSION ASSUME {session}");
-                if !literals.is_empty() {
-                    let _ = write!(out, " lits=");
-                    for (index, lit) in literals.iter().enumerate() {
-                        if index > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{lit}");
-                    }
+                for (index, lit) in literals.iter().enumerate() {
+                    let _ = write!(out, "{}{lit}", if index == 0 { " lits=" } else { "," });
                 }
-                if let Some(ms) = wall_ms {
-                    let _ = write!(out, " wall-ms={ms}");
-                }
-                if let Some(samples) = max_samples {
-                    let _ = write!(out, " samples={samples}");
-                }
-                if let Some(checks) = max_checks {
-                    let _ = write!(out, " checks={checks}");
-                }
+                write_present(
+                    &mut out,
+                    &[
+                        ("wall-ms", *wall_ms),
+                        ("samples", *max_samples),
+                        ("checks", *max_checks),
+                    ],
+                );
                 out.push('\n');
             }
             Frame::SessionPop { session } => {
@@ -900,93 +784,38 @@ impl Frame {
             }
             Frame::MetricsRequest => out.push_str("METRICS\n"),
             Frame::Metrics(metrics) => {
-                let _ = writeln!(
-                    out,
-                    "METRICS queue-depth={} backlog-high={} backlog-normal={} backlog-low={} \
-                     cache-hits={} cache-misses={} cache-evictions={} cache-entries={} \
-                     pre-vars-removed={} pre-clauses-removed={} pre-solved={} \
-                     budget-samples-spent={} budget-checks-spent={} \
-                     clauses-exported={} clauses-imported={} body-lines={}",
-                    metrics.queue_depth,
-                    metrics.backlog_high,
-                    metrics.backlog_normal,
-                    metrics.backlog_low,
-                    metrics.cache_hits,
-                    metrics.cache_misses,
-                    metrics.cache_evictions,
-                    metrics.cache_entries,
-                    metrics.pre_vars_removed,
-                    metrics.pre_clauses_removed,
-                    metrics.pre_solved,
-                    metrics.budget_samples_spent,
-                    metrics.budget_checks_spent,
-                    metrics.clauses_exported,
-                    metrics.clauses_imported,
-                    metrics.backends.len()
-                );
+                out.push_str("METRICS");
+                write_counters(&mut out, metrics, WireMetrics::COUNTERS);
+                let _ = writeln!(out, " body-lines={}", metrics.backends.len());
                 for backend in &metrics.backends {
-                    let _ = writeln!(
-                        out,
-                        "backend {} count={} total-us={} max-us={}",
-                        backend.name, backend.count, backend.total_us, backend.max_us
-                    );
+                    let _ = write!(out, "backend {}", backend.name);
+                    write_counters(&mut out, backend, WireBackendLatency::COUNTERS);
+                    out.push('\n');
                 }
             }
             Frame::Queued { job } => {
                 let _ = writeln!(out, "QUEUED {job}");
             }
-            Frame::Model { job, literals } => {
-                let _ = write!(out, "v {job}");
-                for lit in literals {
-                    let _ = write!(out, " {lit}");
-                }
-                out.push_str(" 0\n");
-            }
+            Frame::Model { job, literals } => write_terminated(&mut out, "v", *job, literals),
             Frame::Stats { job, stats } => {
-                let _ = writeln!(
-                    out,
-                    "STATS {job} decisions={} conflicts={} propagations={} restarts={} \
-                     learned={} tried={} flips={} checks={} samples={} wall-us={} \
-                     cache-hits={} pre-vars-removed={} clauses-exported={} \
-                     clauses-imported={}",
-                    stats.decisions,
-                    stats.conflicts,
-                    stats.propagations,
-                    stats.restarts,
-                    stats.learned,
-                    stats.tried,
-                    stats.flips,
-                    stats.checks,
-                    stats.samples,
-                    stats.wall_us,
-                    stats.cache_hits,
-                    stats.pre_vars_removed,
-                    stats.clauses_exported,
-                    stats.clauses_imported
-                );
+                let _ = write!(out, "STATS {job}");
+                write_counters(&mut out, stats, SolveStats::COUNTERS);
+                out.push('\n');
             }
             Frame::Result { job, verdict } => {
                 let _ = writeln!(out, "RESULT {job} {verdict}");
             }
             Frame::FailedAssumptions { job, literals } => {
-                let _ = write!(out, "f {job}");
-                for lit in literals {
-                    let _ = write!(out, " {lit}");
-                }
-                out.push_str(" 0\n");
+                write_terminated(&mut out, "f", *job, literals);
             }
             Frame::Info {
                 job,
                 status,
                 backlog,
             } => {
-                let _ = write!(out, "INFO {job} {}", status.token());
+                let _ = write!(out, "INFO {job} {}", status_token(*status));
                 if let Some(backlog) = backlog {
-                    let _ = write!(
-                        out,
-                        " queue-depth={} backlog-high={} backlog-normal={} backlog-low={}",
-                        backlog.queue_depth, backlog.high, backlog.normal, backlog.low
-                    );
+                    write_counters(&mut out, backlog, WireBacklog::COUNTERS);
                 }
                 out.push('\n');
             }
@@ -1029,6 +858,40 @@ impl Frame {
         let text = decode_utf8(line)?;
         parse_header(&text, reader)
     }
+}
+
+/// Appends ` key=value` for each key whose value is present.
+fn write_present(out: &mut String, pairs: &[(&str, Option<u64>)]) {
+    for &(key, value) in pairs {
+        if let Some(value) = value {
+            let _ = write!(out, " {key}={value}");
+        }
+    }
+}
+
+/// Appends ` key=value` for every counter of `table`, in table order.
+fn write_counters<T>(out: &mut String, record: &T, table: &[CounterRow<T>]) {
+    for row in table {
+        let _ = write!(out, " {}={}", row.key, (row.get)(record));
+    }
+}
+
+/// Ends a header line with ` body-lines=<n>` and appends the `n` body lines.
+fn write_body(out: &mut String, body: &[String]) {
+    let _ = writeln!(out, " body-lines={}", body.len());
+    for line in body {
+        out.push_str(line);
+        out.push('\n');
+    }
+}
+
+/// Writes a `v`- or `f`-line: the verb, the job id, the literals and `0`.
+fn write_terminated(out: &mut String, verb: &str, job: u64, literals: &[i64]) {
+    let _ = write!(out, "{verb} {job}");
+    for lit in literals {
+        let _ = write!(out, " {lit}");
+    }
+    out.push_str(" 0\n");
 }
 
 /// Reads one `\n`-terminated line of at most [`MAX_LINE_BYTES`] bytes (the
@@ -1080,23 +943,37 @@ fn parse_i64(token: &str) -> Result<i64, ProtocolError> {
         .map_err(|_| malformed(format!("literal '{token}' out of range")))
 }
 
-fn expect_end<'a, I: Iterator<Item = &'a str>>(
-    mut tokens: I,
-    verb: &str,
+fn parse_bool(value: &str, key: &str) -> Result<bool, ProtocolError> {
+    match value {
+        "true" => Ok(true),
+        "false" => Ok(false),
+        other => Err(malformed(format!("invalid {key} value '{other}'"))),
+    }
+}
+
+/// Errors unless `tokens` is exhausted; `after` names what the line ended
+/// with.
+fn expect_end<'a>(
+    mut tokens: impl Iterator<Item = &'a str>,
+    after: impl fmt::Display,
 ) -> Result<(), ProtocolError> {
     match tokens.next() {
         None => Ok(()),
         Some(extra) => Err(malformed(format!(
-            "unexpected trailing token '{extra}' after {verb}"
+            "unexpected trailing token '{extra}' after {after}"
         ))),
     }
 }
 
-fn valid_backend_name(name: &str) -> bool {
-    !name.is_empty()
+fn parse_backend_name(name: &str) -> Result<&str, ProtocolError> {
+    let valid = !name.is_empty()
         && name
             .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_');
+    if !valid {
+        return Err(malformed(format!("invalid backend name '{name}'")));
+    }
+    Ok(name)
 }
 
 /// Splits `key=value`, erroring when there is no `=`.
@@ -1107,11 +984,140 @@ fn split_key_value(token: &str) -> Result<(&str, &str), ProtocolError> {
 }
 
 /// Stores `value` into `slot`, erroring on a duplicate key.
-fn store_once(slot: &mut Option<u64>, key: &str, value: u64) -> Result<(), ProtocolError> {
+fn store_once<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), ProtocolError> {
     if slot.replace(value).is_some() {
         return Err(malformed(format!("duplicate key '{key}'")));
     }
     Ok(())
+}
+
+/// Parses the id (`what` is `job id` or `session id`) that follows `verb`.
+fn parse_id<'a>(
+    tokens: &mut impl Iterator<Item = &'a str>,
+    verb: &str,
+    what: &str,
+) -> Result<u64, ProtocolError> {
+    let token = tokens
+        .next()
+        .ok_or_else(|| malformed(format!("{verb} needs a {what}")))?;
+    parse_u64(token, what)
+}
+
+/// Parses a frame that is `verb` followed by one id and nothing else.
+fn parse_lone_id<'a>(
+    mut tokens: impl Iterator<Item = &'a str>,
+    verb: &str,
+    what: &str,
+) -> Result<u64, ProtocolError> {
+    let id = parse_id(&mut tokens, verb, what)?;
+    expect_end(tokens, verb)?;
+    Ok(id)
+}
+
+/// Parses the one `key=value` token `verb` requires next and returns its
+/// value.
+fn expect_key<'a>(
+    tokens: &mut impl Iterator<Item = &'a str>,
+    verb: &str,
+    key: &str,
+) -> Result<&'a str, ProtocolError> {
+    let token = tokens
+        .next()
+        .ok_or_else(|| malformed(format!("{verb} needs a {key} key")))?;
+    let (found, value) = split_key_value(token)?;
+    if found != key {
+        return Err(malformed(format!("unknown {verb} key '{found}'")));
+    }
+    Ok(value)
+}
+
+/// Parses one counter of `table` into `record`. `seen` has bit `i` set once
+/// row `i` was parsed, so a repeated key is an error; a table therefore
+/// holds at most 64 rows.
+fn parse_counter<T>(
+    key: &str,
+    value: &str,
+    record: &mut T,
+    table: &[CounterRow<T>],
+    seen: &mut u64,
+    verb: &str,
+) -> Result<(), ProtocolError> {
+    let index = table
+        .iter()
+        .position(|row| row.key == key)
+        .ok_or_else(|| malformed(format!("unknown {verb} key '{key}'")))?;
+    let value = parse_u64(value, key)?;
+    if *seen & (1 << index) != 0 {
+        return Err(malformed(format!("duplicate key '{key}'")));
+    }
+    *seen |= 1 << index;
+    (table[index].set)(record, value);
+    Ok(())
+}
+
+/// Parses every remaining token as a counter of `table`; absent counters
+/// keep their value in `record`. Answers whether any counter was present.
+fn parse_counters<'a, T>(
+    tokens: impl Iterator<Item = &'a str>,
+    record: &mut T,
+    table: &[CounterRow<T>],
+    verb: &str,
+) -> Result<bool, ProtocolError> {
+    let mut seen = 0;
+    for token in tokens {
+        let (key, value) = split_key_value(token)?;
+        parse_counter(key, value, record, table, &mut seen, verb)?;
+    }
+    Ok(seen != 0)
+}
+
+/// Parses the literals of a `v`- or `f`-line up to its terminating `0`,
+/// which must end the line.
+fn parse_terminated<'a>(
+    mut tokens: impl Iterator<Item = &'a str>,
+    line: &str,
+) -> Result<Vec<i64>, ProtocolError> {
+    let mut literals = Vec::new();
+    for token in tokens.by_ref() {
+        let lit = parse_i64(token)?;
+        if lit == 0 {
+            expect_end(tokens, format_args!("the {line} terminator"))?;
+            return Ok(literals);
+        }
+        literals.push(lit);
+    }
+    Err(malformed(format!("{line} missing terminating 0")))
+}
+
+/// Parses a `body-lines=` count. A count above [`MAX_BODY_LINES`] loses
+/// framing, since the body that follows cannot be skipped.
+fn parse_body_lines(value: &str) -> Result<usize, ProtocolError> {
+    let count = parse_u64(value, "body-lines")?;
+    // Compare in u64 before narrowing: `as usize` would wrap huge counts into
+    // the accepted range on 32-bit targets.
+    if count > MAX_BODY_LINES as u64 {
+        return Err(ProtocolError::Desync(format!(
+            "body-lines={count} exceeds the {MAX_BODY_LINES}-line cap"
+        )));
+    }
+    Ok(count as usize)
+}
+
+/// Reads and parses the `count` body lines of a frame; `what` names the body
+/// when the connection closes inside it.
+fn read_body<R: BufRead, T>(
+    reader: &mut R,
+    count: usize,
+    what: &str,
+    mut parse: impl FnMut(String) -> Result<T, ProtocolError>,
+) -> Result<Vec<T>, ProtocolError> {
+    let mut body = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        let line = read_limited_line(reader)?
+            .ok_or_else(|| ProtocolError::Desync(format!("connection closed inside {what}")))?;
+        body.push(parse(decode_utf8(line)?)?);
+    }
+    Ok(body)
 }
 
 fn parse_header<R: BufRead>(line: &str, reader: &mut R) -> Result<Option<Frame>, ProtocolError> {
@@ -1119,26 +1125,12 @@ fn parse_header<R: BufRead>(line: &str, reader: &mut R) -> Result<Option<Frame>,
     let verb = tokens.next().ok_or_else(|| malformed("empty frame line"))?;
     let frame = match verb {
         "SOLVE" => return parse_solve(tokens, reader).map(Some),
-        "CANCEL" => {
-            let job = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("CANCEL needs a job id"))?,
-                "job id",
-            )?;
-            expect_end(tokens, "CANCEL")?;
-            Frame::Cancel { job }
-        }
-        "STATUS" => {
-            let job = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("STATUS needs a job id"))?,
-                "job id",
-            )?;
-            expect_end(tokens, "STATUS")?;
-            Frame::Status { job }
-        }
+        "CANCEL" => Frame::Cancel {
+            job: parse_lone_id(tokens, verb, "job id")?,
+        },
+        "STATUS" => Frame::Status {
+            job: parse_lone_id(tokens, verb, "job id")?,
+        },
         "REFILL" => {
             let mut samples = None;
             let mut checks = None;
@@ -1165,167 +1157,49 @@ fn parse_header<R: BufRead>(line: &str, reader: &mut R) -> Result<Option<Frame>,
             }
         }
         "PING" => {
-            expect_end(tokens, "PING")?;
+            expect_end(tokens, verb)?;
             Frame::Ping
         }
         "HELLO" => {
-            expect_end(tokens, "HELLO")?;
+            expect_end(tokens, verb)?;
             Frame::Hello
         }
         "SHUTDOWN" => {
-            expect_end(tokens, "SHUTDOWN")?;
+            expect_end(tokens, verb)?;
             Frame::Shutdown
         }
         "SESSION" => return parse_session(tokens, reader).map(Some),
         "METRICS" => return parse_metrics(tokens, reader).map(Some),
-        "QUEUED" => {
-            let job = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("QUEUED needs a job id"))?,
-                "job id",
-            )?;
-            expect_end(tokens, "QUEUED")?;
-            Frame::Queued { job }
-        }
-        "v" => {
-            let job = parse_u64(
-                tokens.next().ok_or_else(|| malformed("v needs a job id"))?,
-                "job id",
-            )?;
-            let mut literals = Vec::new();
-            let mut terminated = false;
-            for token in tokens.by_ref() {
-                let lit = parse_i64(token)?;
-                if lit == 0 {
-                    terminated = true;
-                    break;
-                }
-                literals.push(lit);
-            }
-            if !terminated {
-                return Err(malformed("v-line missing terminating 0"));
-            }
-            expect_end(tokens, "the v-line terminator")?;
-            Frame::Model { job, literals }
-        }
-        "f" => {
-            let job = parse_u64(
-                tokens.next().ok_or_else(|| malformed("f needs a job id"))?,
-                "job id",
-            )?;
-            let mut literals = Vec::new();
-            let mut terminated = false;
-            for token in tokens.by_ref() {
-                let lit = parse_i64(token)?;
-                if lit == 0 {
-                    terminated = true;
-                    break;
-                }
-                literals.push(lit);
-            }
-            if !terminated {
-                return Err(malformed("f-line missing terminating 0"));
-            }
-            expect_end(tokens, "the f-line terminator")?;
-            Frame::FailedAssumptions { job, literals }
-        }
+        "QUEUED" => Frame::Queued {
+            job: parse_lone_id(tokens, verb, "job id")?,
+        },
+        "v" => Frame::Model {
+            job: parse_id(&mut tokens, verb, "job id")?,
+            literals: parse_terminated(tokens, "v-line")?,
+        },
+        "f" => Frame::FailedAssumptions {
+            job: parse_id(&mut tokens, verb, "job id")?,
+            literals: parse_terminated(tokens, "f-line")?,
+        },
         "SESSIONOK" => {
-            let session = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("SESSIONOK needs a session id"))?,
-                "session id",
-            )?;
-            let (key, value) = split_key_value(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("SESSIONOK needs a depth key"))?,
-            )?;
-            if key != "depth" {
-                return Err(malformed(format!("unknown SESSIONOK key '{key}'")));
-            }
-            let depth = parse_u64(value, key)?;
-            expect_end(tokens, "SESSIONOK")?;
+            let session = parse_id(&mut tokens, verb, "session id")?;
+            let depth = parse_u64(expect_key(&mut tokens, verb, "depth")?, "depth")?;
+            expect_end(tokens, verb)?;
             Frame::SessionOk { session, depth }
         }
         "CAPS" => {
-            let (key, value) = split_key_value(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("CAPS needs a sessions key"))?,
-            )?;
-            if key != "sessions" {
-                return Err(malformed(format!("unknown CAPS key '{key}'")));
-            }
-            let sessions = match value {
-                "true" => true,
-                "false" => false,
-                other => return Err(malformed(format!("invalid sessions value '{other}'"))),
-            };
-            expect_end(tokens, "CAPS")?;
+            let sessions = parse_bool(expect_key(&mut tokens, verb, "sessions")?, "sessions")?;
+            expect_end(tokens, verb)?;
             Frame::Caps { sessions }
         }
         "STATS" => {
-            let job = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("STATS needs a job id"))?,
-                "job id",
-            )?;
-            let mut slots: [Option<u64>; 14] = [None; 14];
-            const KEYS: [&str; 14] = [
-                "decisions",
-                "conflicts",
-                "propagations",
-                "restarts",
-                "learned",
-                "tried",
-                "flips",
-                "checks",
-                "samples",
-                "wall-us",
-                "cache-hits",
-                "pre-vars-removed",
-                "clauses-exported",
-                "clauses-imported",
-            ];
-            for token in tokens {
-                let (key, value) = split_key_value(token)?;
-                let index = KEYS
-                    .iter()
-                    .position(|&k| k == key)
-                    .ok_or_else(|| malformed(format!("unknown STATS key '{key}'")))?;
-                store_once(&mut slots[index], key, parse_u64(value, key)?)?;
-            }
-            let counter = |index: usize| slots[index].unwrap_or(0);
-            Frame::Stats {
-                job,
-                stats: WireStats {
-                    decisions: counter(0),
-                    conflicts: counter(1),
-                    propagations: counter(2),
-                    restarts: counter(3),
-                    learned: counter(4),
-                    tried: counter(5),
-                    flips: counter(6),
-                    checks: counter(7),
-                    samples: counter(8),
-                    wall_us: counter(9),
-                    cache_hits: counter(10),
-                    pre_vars_removed: counter(11),
-                    clauses_exported: counter(12),
-                    clauses_imported: counter(13),
-                },
-            }
+            let job = parse_id(&mut tokens, verb, "job id")?;
+            let mut stats = SolveStats::default();
+            parse_counters(tokens, &mut stats, SolveStats::COUNTERS, verb)?;
+            Frame::Stats { job, stats }
         }
         "RESULT" => {
-            let job = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("RESULT needs a job id"))?,
-                "job id",
-            )?;
+            let job = parse_id(&mut tokens, verb, "job id")?;
             match tokens.next() {
                 Some("s") => {}
                 other => return Err(malformed(format!("RESULT expects 's', got {other:?}"))),
@@ -1333,57 +1207,29 @@ fn parse_header<R: BufRead>(line: &str, reader: &mut R) -> Result<Option<Frame>,
             let verdict = match tokens.next() {
                 Some("SATISFIABLE") => WireVerdict::Satisfiable,
                 Some("UNSATISFIABLE") => WireVerdict::Unsatisfiable,
-                Some("UNKNOWN") => {
-                    let cause = WireCause::parse(
-                        tokens
-                            .next()
-                            .ok_or_else(|| malformed("UNKNOWN needs a cause"))?,
-                    )?;
-                    WireVerdict::Unknown(cause)
-                }
+                Some("UNKNOWN") => WireVerdict::Unknown(parse_cause(
+                    tokens
+                        .next()
+                        .ok_or_else(|| malformed("UNKNOWN needs a cause"))?,
+                )?),
                 other => return Err(malformed(format!("unknown verdict {other:?}"))),
             };
-            expect_end(tokens, "RESULT")?;
+            expect_end(tokens, verb)?;
             Frame::Result { job, verdict }
         }
         "INFO" => {
-            let job = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("INFO needs a job id"))?,
-                "job id",
-            )?;
-            let status = WireJobStatus::parse(
+            let job = parse_id(&mut tokens, verb, "job id")?;
+            let status = parse_status(
                 tokens
                     .next()
                     .ok_or_else(|| malformed("INFO needs a status"))?,
             )?;
-            let mut queue_depth = None;
-            let mut high = None;
-            let mut normal = None;
-            let mut low = None;
-            for token in tokens {
-                let (key, value) = split_key_value(token)?;
-                match key {
-                    "queue-depth" => store_once(&mut queue_depth, key, parse_u64(value, key)?)?,
-                    "backlog-high" => store_once(&mut high, key, parse_u64(value, key)?)?,
-                    "backlog-normal" => store_once(&mut normal, key, parse_u64(value, key)?)?,
-                    "backlog-low" => store_once(&mut low, key, parse_u64(value, key)?)?,
-                    other => return Err(malformed(format!("unknown INFO key '{other}'"))),
-                }
-            }
-            let any_gauge =
-                queue_depth.is_some() || high.is_some() || normal.is_some() || low.is_some();
-            let backlog = any_gauge.then(|| WireBacklog {
-                queue_depth: queue_depth.unwrap_or(0),
-                high: high.unwrap_or(0),
-                normal: normal.unwrap_or(0),
-                low: low.unwrap_or(0),
-            });
+            let mut backlog = WireBacklog::default();
+            let any_gauge = parse_counters(tokens, &mut backlog, WireBacklog::COUNTERS, verb)?;
             Frame::Info {
                 job,
                 status,
-                backlog,
+                backlog: any_gauge.then_some(backlog),
             }
         }
         "OK" => {
@@ -1391,15 +1237,15 @@ fn parse_header<R: BufRead>(line: &str, reader: &mut R) -> Result<Option<Frame>,
                 Some("refill") => {}
                 other => return Err(malformed(format!("unknown OK payload {other:?}"))),
             }
-            expect_end(tokens, "OK")?;
+            expect_end(tokens, verb)?;
             Frame::OkRefill
         }
         "PONG" => {
-            expect_end(tokens, "PONG")?;
+            expect_end(tokens, verb)?;
             Frame::Pong
         }
         "BYE" => {
-            expect_end(tokens, "BYE")?;
+            expect_end(tokens, verb)?;
             Frame::Bye
         }
         "ERR" => {
@@ -1428,24 +1274,23 @@ fn parse_header<R: BufRead>(line: &str, reader: &mut R) -> Result<Option<Frame>,
     Ok(Some(frame))
 }
 
-fn parse_solve<'a, R: BufRead, I: Iterator<Item = &'a str>>(
-    mut tokens: I,
+fn parse_solve<'a, R: BufRead>(
+    mut tokens: impl Iterator<Item = &'a str>,
     reader: &mut R,
 ) -> Result<Frame, ProtocolError> {
-    let backend = tokens
-        .next()
-        .ok_or_else(|| malformed("SOLVE needs a backend name"))?;
-    if !valid_backend_name(backend) {
-        return Err(malformed(format!("invalid backend name '{backend}'")));
-    }
+    let backend = parse_backend_name(
+        tokens
+            .next()
+            .ok_or_else(|| malformed("SOLVE needs a backend name"))?,
+    )?;
     let mut seed = None;
     let mut priority = None;
     let mut artifacts = None;
     let mut wall_ms = None;
     let mut max_samples = None;
     let mut max_checks = None;
-    let mut stats: Option<bool> = None;
-    let mut body_lines: Option<usize> = None;
+    let mut stats = None;
+    let mut body_lines = None;
     for token in tokens {
         if body_lines.is_some() {
             return Err(malformed("body-lines must be the last SOLVE key"));
@@ -1453,51 +1298,19 @@ fn parse_solve<'a, R: BufRead, I: Iterator<Item = &'a str>>(
         let (key, value) = split_key_value(token)?;
         match key {
             "seed" => store_once(&mut seed, key, parse_u64(value, key)?)?,
-            "stats" => {
-                let value = match value {
-                    "true" => true,
-                    "false" => false,
-                    other => return Err(malformed(format!("invalid stats value '{other}'"))),
-                };
-                if stats.replace(value).is_some() {
-                    return Err(malformed("duplicate key 'stats'"));
-                }
-            }
-            "priority" => {
-                if priority.replace(WirePriority::parse(value)?).is_some() {
-                    return Err(malformed("duplicate key 'priority'"));
-                }
-            }
-            "artifacts" => {
-                if artifacts.replace(WireArtifacts::parse(value)?).is_some() {
-                    return Err(malformed("duplicate key 'artifacts'"));
-                }
-            }
+            "stats" => store_once(&mut stats, key, parse_bool(value, key)?)?,
+            "priority" => store_once(&mut priority, key, parse_priority(value)?)?,
+            "artifacts" => store_once(&mut artifacts, key, WireArtifacts::parse(value)?)?,
             "wall-ms" => store_once(&mut wall_ms, key, parse_u64(value, key)?)?,
             "samples" => store_once(&mut max_samples, key, parse_u64(value, key)?)?,
             "checks" => store_once(&mut max_checks, key, parse_u64(value, key)?)?,
-            "body-lines" => {
-                let count = parse_u64(value, key)?;
-                // Compare in u64 before narrowing: `as usize` would wrap
-                // huge counts into the accepted range on 32-bit targets.
-                if count > MAX_BODY_LINES as u64 {
-                    return Err(ProtocolError::Desync(format!(
-                        "body-lines={count} exceeds the {MAX_BODY_LINES}-line cap"
-                    )));
-                }
-                body_lines = Some(count as usize);
-            }
+            "body-lines" => body_lines = Some(parse_body_lines(value)?),
             other => return Err(malformed(format!("unknown SOLVE key '{other}'"))),
         }
     }
     let body_lines =
         body_lines.ok_or_else(|| malformed("SOLVE needs a trailing body-lines key"))?;
-    let mut body = Vec::with_capacity(body_lines.min(1024));
-    for _ in 0..body_lines {
-        let line = read_limited_line(reader)?
-            .ok_or_else(|| ProtocolError::Desync("connection closed inside a SOLVE body".into()))?;
-        body.push(decode_utf8(line)?);
-    }
+    let body = read_body(reader, body_lines, "a SOLVE body", Ok)?;
     Ok(Frame::Solve(SolveFrame {
         backend: backend.to_string(),
         seed: seed.unwrap_or(0),
@@ -1514,32 +1327,16 @@ fn parse_solve<'a, R: BufRead, I: Iterator<Item = &'a str>>(
 /// Parses a `METRICS` line: bare (the client's request) or keyed (the
 /// server's snapshot response, whose `body-lines=` count announces the
 /// per-backend latency lines that follow).
-fn parse_metrics<'a, R: BufRead, I: Iterator<Item = &'a str>>(
-    tokens: I,
+fn parse_metrics<'a, R: BufRead>(
+    tokens: impl Iterator<Item = &'a str>,
     reader: &mut R,
 ) -> Result<Frame, ProtocolError> {
     // Counter keys may be any subset (absent reads 0), like STATS; only the
     // trailing body-lines key distinguishes the response and is mandatory
     // there.
-    let mut slots: [Option<u64>; 15] = [None; 15];
-    const KEYS: [&str; 15] = [
-        "queue-depth",
-        "backlog-high",
-        "backlog-normal",
-        "backlog-low",
-        "cache-hits",
-        "cache-misses",
-        "cache-evictions",
-        "cache-entries",
-        "pre-vars-removed",
-        "pre-clauses-removed",
-        "pre-solved",
-        "budget-samples-spent",
-        "budget-checks-spent",
-        "clauses-exported",
-        "clauses-imported",
-    ];
-    let mut body_lines: Option<usize> = None;
+    let mut metrics = WireMetrics::default();
+    let mut seen = 0;
+    let mut body_lines = None;
     let mut any_key = false;
     for token in tokens {
         if body_lines.is_some() {
@@ -1548,52 +1345,27 @@ fn parse_metrics<'a, R: BufRead, I: Iterator<Item = &'a str>>(
         any_key = true;
         let (key, value) = split_key_value(token)?;
         if key == "body-lines" {
-            let count = parse_u64(value, key)?;
-            if count > MAX_BODY_LINES as u64 {
-                return Err(ProtocolError::Desync(format!(
-                    "body-lines={count} exceeds the {MAX_BODY_LINES}-line cap"
-                )));
-            }
-            body_lines = Some(count as usize);
-            continue;
+            body_lines = Some(parse_body_lines(value)?);
+        } else {
+            parse_counter(
+                key,
+                value,
+                &mut metrics,
+                WireMetrics::COUNTERS,
+                &mut seen,
+                "METRICS",
+            )?;
         }
-        let index = KEYS
-            .iter()
-            .position(|&k| k == key)
-            .ok_or_else(|| malformed(format!("unknown METRICS key '{key}'")))?;
-        store_once(&mut slots[index], key, parse_u64(value, key)?)?;
     }
     if !any_key {
         return Ok(Frame::MetricsRequest);
     }
     let body_lines =
         body_lines.ok_or_else(|| malformed("METRICS response needs a trailing body-lines key"))?;
-    let mut backends = Vec::with_capacity(body_lines.min(1024));
-    for _ in 0..body_lines {
-        let line = read_limited_line(reader)?.ok_or_else(|| {
-            ProtocolError::Desync("connection closed inside a METRICS body".into())
-        })?;
-        backends.push(parse_metrics_backend(&decode_utf8(line)?)?);
-    }
-    let counter = |index: usize| slots[index].unwrap_or(0);
-    Ok(Frame::Metrics(WireMetrics {
-        queue_depth: counter(0),
-        backlog_high: counter(1),
-        backlog_normal: counter(2),
-        backlog_low: counter(3),
-        cache_hits: counter(4),
-        cache_misses: counter(5),
-        cache_evictions: counter(6),
-        cache_entries: counter(7),
-        pre_vars_removed: counter(8),
-        pre_clauses_removed: counter(9),
-        pre_solved: counter(10),
-        budget_samples_spent: counter(11),
-        budget_checks_spent: counter(12),
-        clauses_exported: counter(13),
-        clauses_imported: counter(14),
-        backends,
-    }))
+    metrics.backends = read_body(reader, body_lines, "a METRICS body", |line| {
+        parse_metrics_backend(&line)
+    })?;
+    Ok(Frame::Metrics(metrics))
 }
 
 /// Parses one `METRICS` body line:
@@ -1608,30 +1380,22 @@ fn parse_metrics_backend(line: &str) -> Result<WireBackendLatency, ProtocolError
             )))
         }
     }
-    let name = tokens
-        .next()
-        .ok_or_else(|| malformed("METRICS body line needs a backend name"))?;
-    if !valid_backend_name(name) {
-        return Err(malformed(format!("invalid backend name '{name}'")));
-    }
-    let mut count = None;
-    let mut total_us = None;
-    let mut max_us = None;
-    for token in tokens {
-        let (key, value) = split_key_value(token)?;
-        match key {
-            "count" => store_once(&mut count, key, parse_u64(value, key)?)?,
-            "total-us" => store_once(&mut total_us, key, parse_u64(value, key)?)?,
-            "max-us" => store_once(&mut max_us, key, parse_u64(value, key)?)?,
-            other => return Err(malformed(format!("unknown METRICS body key '{other}'"))),
-        }
-    }
-    Ok(WireBackendLatency {
+    let name = parse_backend_name(
+        tokens
+            .next()
+            .ok_or_else(|| malformed("METRICS body line needs a backend name"))?,
+    )?;
+    let mut backend = WireBackendLatency {
         name: name.to_string(),
-        count: count.unwrap_or(0),
-        total_us: total_us.unwrap_or(0),
-        max_us: max_us.unwrap_or(0),
-    })
+        ..WireBackendLatency::default()
+    };
+    parse_counters(
+        tokens,
+        &mut backend,
+        WireBackendLatency::COUNTERS,
+        "METRICS body",
+    )?;
+    Ok(backend)
 }
 
 /// Parses the comma-separated DIMACS literals of a `lits=` value.
@@ -1647,8 +1411,8 @@ fn parse_lit_list(value: &str) -> Result<Vec<i64>, ProtocolError> {
     Ok(literals)
 }
 
-fn parse_session<'a, R: BufRead, I: Iterator<Item = &'a str>>(
-    mut tokens: I,
+fn parse_session<'a, R: BufRead>(
+    mut tokens: impl Iterator<Item = &'a str>,
     reader: &mut R,
 ) -> Result<Frame, ProtocolError> {
     let subverb = tokens
@@ -1656,73 +1420,30 @@ fn parse_session<'a, R: BufRead, I: Iterator<Item = &'a str>>(
         .ok_or_else(|| malformed("SESSION needs a subverb"))?;
     let frame = match subverb {
         "OPEN" => {
-            let (key, value) = split_key_value(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("SESSION OPEN needs a backend key"))?,
-            )?;
-            if key != "backend" {
-                return Err(malformed(format!("unknown SESSION OPEN key '{key}'")));
-            }
-            if !valid_backend_name(value) {
-                return Err(malformed(format!("invalid backend name '{value}'")));
-            }
+            let backend = parse_backend_name(expect_key(&mut tokens, "SESSION OPEN", "backend")?)?;
             expect_end(tokens, "SESSION OPEN")?;
             Frame::SessionOpen {
-                backend: value.to_string(),
+                backend: backend.to_string(),
             }
         }
         "ADDCLAUSES" => {
-            let session = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("SESSION ADDCLAUSES needs a session id"))?,
-                "session id",
-            )?;
-            let (key, value) = split_key_value(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("SESSION ADDCLAUSES needs a body-lines key"))?,
-            )?;
-            if key != "body-lines" {
-                return Err(malformed(format!("unknown SESSION ADDCLAUSES key '{key}'")));
-            }
-            let count = parse_u64(value, key)?;
-            if count > MAX_BODY_LINES as u64 {
-                return Err(ProtocolError::Desync(format!(
-                    "body-lines={count} exceeds the {MAX_BODY_LINES}-line cap"
-                )));
-            }
-            expect_end(tokens, "SESSION ADDCLAUSES")?;
-            let count = count as usize;
-            let mut body = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let line = read_limited_line(reader)?.ok_or_else(|| {
-                    ProtocolError::Desync("connection closed inside an ADDCLAUSES body".into())
-                })?;
-                body.push(decode_utf8(line)?);
-            }
+            let verb = "SESSION ADDCLAUSES";
+            let session = parse_id(&mut tokens, verb, "session id")?;
+            let count = parse_body_lines(expect_key(&mut tokens, verb, "body-lines")?)?;
+            expect_end(tokens, verb)?;
+            let body = read_body(reader, count, "an ADDCLAUSES body", Ok)?;
             Frame::SessionAddClauses { session, body }
         }
         "ASSUME" => {
-            let session = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("SESSION ASSUME needs a session id"))?,
-                "session id",
-            )?;
-            let mut literals: Option<Vec<i64>> = None;
+            let session = parse_id(&mut tokens, "SESSION ASSUME", "session id")?;
+            let mut literals = None;
             let mut wall_ms = None;
             let mut max_samples = None;
             let mut max_checks = None;
             for token in tokens {
                 let (key, value) = split_key_value(token)?;
                 match key {
-                    "lits" => {
-                        if literals.replace(parse_lit_list(value)?).is_some() {
-                            return Err(malformed("duplicate key 'lits'"));
-                        }
-                    }
+                    "lits" => store_once(&mut literals, key, parse_lit_list(value)?)?,
                     "wall-ms" => store_once(&mut wall_ms, key, parse_u64(value, key)?)?,
                     "samples" => store_once(&mut max_samples, key, parse_u64(value, key)?)?,
                     "checks" => store_once(&mut max_checks, key, parse_u64(value, key)?)?,
@@ -1739,26 +1460,12 @@ fn parse_session<'a, R: BufRead, I: Iterator<Item = &'a str>>(
                 max_checks,
             }
         }
-        "POP" => {
-            let session = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("SESSION POP needs a session id"))?,
-                "session id",
-            )?;
-            expect_end(tokens, "SESSION POP")?;
-            Frame::SessionPop { session }
-        }
-        "CLOSE" => {
-            let session = parse_u64(
-                tokens
-                    .next()
-                    .ok_or_else(|| malformed("SESSION CLOSE needs a session id"))?,
-                "session id",
-            )?;
-            expect_end(tokens, "SESSION CLOSE")?;
-            Frame::SessionClose { session }
-        }
+        "POP" => Frame::SessionPop {
+            session: parse_lone_id(tokens, "SESSION POP", "session id")?,
+        },
+        "CLOSE" => Frame::SessionClose {
+            session: parse_lone_id(tokens, "SESSION CLOSE", "session id")?,
+        },
         other => return Err(malformed(format!("unknown SESSION subverb '{other}'"))),
     };
     Ok(frame)
@@ -1789,7 +1496,7 @@ mod tests {
         roundtrip(Frame::Solve(SolveFrame {
             backend: "parallel-portfolio".into(),
             seed: u64::MAX,
-            priority: WirePriority::High,
+            priority: JobPriority::High,
             artifacts: WireArtifacts::Verdict,
             wall_ms: Some(5000),
             max_samples: Some(0),
@@ -1817,26 +1524,27 @@ mod tests {
         });
         roundtrip(Frame::Stats {
             job: 6,
-            stats: WireStats {
+            stats: SolveStats {
                 decisions: 12,
                 conflicts: 3,
                 propagations: 40,
                 restarts: 1,
-                learned: 3,
-                tried: 0,
+                learned_clauses: 3,
+                assignments_tried: 0,
                 flips: 0,
-                checks: 9,
+                coprocessor_checks: 9,
                 samples: 512,
-                wall_us: 1234,
+                wall_time: Duration::from_micros(1234),
                 cache_hits: 1,
-                pre_vars_removed: 4,
+                preprocessed_vars_removed: 4,
                 clauses_exported: 7,
                 clauses_imported: 2,
+                ..SolveStats::default()
             },
         });
         roundtrip(Frame::Stats {
             job: 0,
-            stats: WireStats::default(),
+            stats: SolveStats::default(),
         });
         roundtrip(Frame::Result {
             job: 3,
@@ -1844,16 +1552,18 @@ mod tests {
         });
         roundtrip(Frame::Result {
             job: 4,
-            verdict: WireVerdict::Unknown(WireCause::BudgetSamples),
+            verdict: WireVerdict::Unknown(UnknownCause::BudgetExhausted(
+                ExhaustedResource::Samples,
+            )),
         });
         roundtrip(Frame::Info {
             job: 5,
-            status: WireJobStatus::Running,
+            status: JobStatus::Running,
             backlog: None,
         });
         roundtrip(Frame::Info {
             job: 5,
-            status: WireJobStatus::Queued,
+            status: JobStatus::Queued,
             backlog: Some(WireBacklog {
                 queue_depth: 6,
                 high: 1,
@@ -2022,10 +1732,10 @@ mod tests {
             frame,
             Frame::Stats {
                 job: 4,
-                stats: WireStats {
+                stats: SolveStats {
                     flips: 17,
-                    wall_us: 9,
-                    ..WireStats::default()
+                    wall_time: Duration::from_micros(9),
+                    ..SolveStats::default()
                 },
             }
         );
@@ -2058,31 +1768,42 @@ mod tests {
         assert!(Frame::read_from(&mut cursor).is_err());
     }
 
+    /// Every numeric field of [`SolveStats`] gets a distinct value, so a
+    /// counter missing from [`SolveStats::COUNTERS`] parses back as 0 and
+    /// fails the comparison. The literal names every field, so a new field
+    /// does not compile here until it is given a value.
     #[test]
-    fn wire_stats_round_trips_through_solve_stats() {
+    fn every_solve_stats_counter_crosses_the_wire() {
         let stats = SolveStats {
             decisions: 5,
             conflicts: 2,
             propagations: 11,
             restarts: 1,
-            learned_clauses: 2,
+            learned_clauses: 3,
             assignments_tried: 64,
             flips: 7,
-            coprocessor_checks: 3,
+            coprocessor_checks: 13,
             samples: 100,
+            last_estimate: None,
+            winner: None,
             wall_time: Duration::from_micros(4321),
-            cache_hits: 1,
+            cache_hits: 8,
             preprocessed_vars_removed: 6,
             clauses_exported: 9,
             clauses_imported: 4,
-            ..SolveStats::default()
         };
-        let wire = WireStats::from(&stats);
-        assert_eq!(wire.cache_hits, 1);
-        assert_eq!(wire.pre_vars_removed, 6);
-        assert_eq!(wire.clauses_exported, 9);
-        assert_eq!(wire.clauses_imported, 4);
-        assert_eq!(wire.to_solve_stats(), stats);
+        let text = Frame::Stats {
+            job: 1,
+            stats: stats.clone(),
+        }
+        .encode();
+        match Frame::read_from(&mut Cursor::new(text)).unwrap().unwrap() {
+            Frame::Stats {
+                job: 1,
+                stats: parsed,
+            } => assert_eq!(parsed, stats),
+            other => panic!("expected STATS, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2175,7 +1896,7 @@ mod tests {
             Frame::read_from(&mut cursor).unwrap().unwrap(),
             Frame::Info {
                 job: 5,
-                status: WireJobStatus::Running,
+                status: JobStatus::Running,
                 backlog: None,
             }
         );
@@ -2201,7 +1922,7 @@ mod tests {
     fn exit_codes_follow_the_sat_competition_convention() {
         assert_eq!(WireVerdict::Satisfiable.exit_code(), 10);
         assert_eq!(WireVerdict::Unsatisfiable.exit_code(), 20);
-        assert_eq!(WireVerdict::Unknown(WireCause::Cancelled).exit_code(), 0);
+        assert_eq!(WireVerdict::Unknown(UnknownCause::Cancelled).exit_code(), 0);
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! solve like `SOLVE` does: the `QUEUED` ack assigns a job id from a
 //! dedicated high range (so one-shot ids never collide), a waiter thread
 //! streams the completion (`v`-line, failed-assumption `f`-line, `RESULT`),
-//! and `CANCEL` of that id raises the call's cancellation token. A closing
+//! `CANCEL` of that id raises the call's cancellation token, and `STATUS`
+//! answers `running` until the call's outcome exists. A closing
 //! connection drops its sessions, which releases each pinned solver.
 
-use crate::protocol::{Frame, SolveFrame, WireBacklog, WireVerdict};
+use crate::protocol::{caps_budget, Frame, SolveFrame, WireBacklog, WireVerdict};
 use cnf::{dimacs, Literal};
 use nbl_sat_core::{
     BackendRegistry, Budget, JobHandle, JobStatus, SessionCall, SessionHandle, SolveOutcome,
@@ -302,6 +303,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     }
 }
 
+/// A job id of a connection, as [`Connection::job_entry`] finds it.
+enum JobEntry {
+    /// A one-shot job whose completion is not written yet.
+    OneShot(Arc<JobHandle>),
+    /// A `SESSION ASSUME` job whose outcome does not exist yet, with its
+    /// cancellation flag.
+    Session(Arc<AtomicBool>),
+    /// A job of either kind whose outcome exists.
+    Finished,
+}
+
 /// The per-connection state shared between the reader thread and the per-job
 /// waiter threads.
 struct Connection {
@@ -314,8 +326,9 @@ struct Connection {
     /// Every session this connection opened, by server-assigned id.
     sessions: Mutex<HashMap<u64, SessionHandle>>,
     /// Cancellation flags of `SESSION ASSUME` solves, by job id; `CANCEL`
-    /// falls through to this map when the id is not a one-shot job.
-    session_cancels: Mutex<HashMap<u64, Arc<AtomicBool>>>,
+    /// and `STATUS` fall through to this map when the id is not a one-shot
+    /// job. Once the outcome exists, `None` marks the job finished.
+    session_cancels: Mutex<HashMap<u64, Option<Arc<AtomicBool>>>>,
     /// The next `SESSION OPEN` ack's session id.
     next_session: AtomicU64,
     /// Offset above [`SESSION_JOB_BASE`] of the next `SESSION ASSUME` job id.
@@ -361,6 +374,25 @@ impl Connection {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
+
+    /// What `job` names on this connection: a one-shot job, then a session
+    /// job; `None` for an id this connection never issued.
+    fn job_entry(&self, job: u64) -> Option<JobEntry> {
+        if let Some(entry) = self
+            .jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&job)
+        {
+            return Some(entry.clone().map_or(JobEntry::Finished, JobEntry::OneShot));
+        }
+        self.session_cancels
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&job)
+            .map(|entry| entry.clone().map_or(JobEntry::Finished, JobEntry::Session))
+    }
+
     /// Writes one frame atomically with respect to other writers.
     fn send(&self, frame: &Frame) -> std::io::Result<()> {
         let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
@@ -395,7 +427,7 @@ impl Connection {
         if want_stats {
             Frame::Stats {
                 job,
-                stats: (&outcome.stats).into(),
+                stats: outcome.stats.clone(),
             }
             .write_to(&mut *writer)?;
         }
@@ -406,7 +438,7 @@ impl Connection {
         let verdict = match outcome.verdict {
             SolveVerdict::Satisfiable => WireVerdict::Satisfiable,
             SolveVerdict::Unsatisfiable => WireVerdict::Unsatisfiable,
-            SolveVerdict::Unknown(cause) => WireVerdict::Unknown(cause.into()),
+            SolveVerdict::Unknown(cause) => WireVerdict::Unknown(cause),
         };
         Frame::Result { job, verdict }.write_to(&mut *writer)
     }
@@ -448,6 +480,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::R
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .values()
+        .flatten()
     {
         flag.store(true, Ordering::Relaxed);
     }
@@ -493,55 +526,30 @@ fn handle_frame(
 ) -> std::io::Result<bool> {
     match frame {
         Frame::Solve(solve) => handle_solve(solve, connection, shared)?,
-        Frame::Cancel { job } => {
-            let jobs = connection
-                .jobs
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match jobs.get(&job) {
-                Some(Some(handle)) => handle.cancel(),
-                // Finished: nothing left to cancel.
-                Some(None) => {}
-                None => {
-                    drop(jobs);
-                    let cancels = connection
-                        .session_cancels
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    match cancels.get(&job) {
-                        Some(flag) => flag.store(true, Ordering::Relaxed),
-                        None => {
-                            drop(cancels);
-                            connection.send_error(Some(job), format!("unknown job {job}"))?;
-                        }
-                    }
-                }
+        Frame::Cancel { job } => match connection.job_entry(job) {
+            Some(JobEntry::OneShot(handle)) => handle.cancel(),
+            Some(JobEntry::Session(flag)) => flag.store(true, Ordering::Relaxed),
+            // Finished: nothing left to cancel.
+            Some(JobEntry::Finished) => {}
+            None => connection.send_error(Some(job), format!("unknown job {job}"))?,
+        },
+        Frame::Status { job } => match connection.job_entry(job) {
+            Some(entry) => {
+                let status = match entry {
+                    JobEntry::OneShot(handle) => handle.status(),
+                    // A session runs its calls in order, so a call whose
+                    // outcome is pending counts as running.
+                    JobEntry::Session(_) => JobStatus::Running,
+                    JobEntry::Finished => JobStatus::Finished,
+                };
+                connection.send(&Frame::Info {
+                    job,
+                    status,
+                    backlog: Some(live_backlog(&shared.service)),
+                })?;
             }
-        }
-        Frame::Status { job } => {
-            let jobs = connection
-                .jobs
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match jobs.get(&job) {
-                Some(entry) => {
-                    let status = entry
-                        .as_ref()
-                        .map_or(JobStatus::Finished, |handle| handle.status())
-                        .into();
-                    drop(jobs);
-                    connection.send(&Frame::Info {
-                        job,
-                        status,
-                        backlog: Some(live_backlog(&shared.service)),
-                    })?;
-                }
-                None => {
-                    drop(jobs);
-                    connection.send_error(Some(job), format!("unknown job {job}"))?;
-                }
-            }
-        }
+            None => connection.send_error(Some(job), format!("unknown job {job}"))?,
+        },
         Frame::MetricsRequest => {
             let snapshot = shared.service.metrics_snapshot();
             connection.send(&Frame::Metrics((&snapshot).into()))?;
@@ -575,16 +583,7 @@ fn handle_frame(
             max_samples,
             max_checks,
         } => {
-            let mut budget = Budget::unlimited();
-            if let Some(ms) = wall_ms {
-                budget = budget.with_wall_time(Duration::from_millis(ms));
-            }
-            if let Some(samples) = max_samples {
-                budget = budget.with_max_samples(samples);
-            }
-            if let Some(checks) = max_checks {
-                budget = budget.with_max_checks(checks);
-            }
+            let budget = caps_budget(wall_ms, max_samples, max_checks);
             handle_session_assume(session, &literals, budget, connection)?;
         }
         Frame::SessionPop { session } => handle_session_pop(session, connection)?,
@@ -658,7 +657,7 @@ fn handle_solve(
     let handle = Arc::new(shared.service.submit_with_priority(
         &solve.backend,
         &request,
-        solve.priority.into(),
+        solve.priority,
     ));
     let job = handle.id();
     let want_stats = solve.stats;
@@ -809,7 +808,7 @@ fn handle_session_assume(
         .session_cancels
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .insert(job, cancel);
+        .insert(job, Some(cancel));
     *connection
         .inflight
         .lock()
@@ -818,6 +817,14 @@ fn handle_session_assume(
     let connection = Arc::clone(connection);
     thread::spawn(move || {
         let result = solve.wait();
+        // Mark the job finished as soon as its outcome exists, as a one-shot
+        // job's handle does, so a STATUS sent after the RESULT arrived never
+        // reads `running`.
+        connection
+            .session_cancels
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(job, None);
         let written = match &result {
             // Session solves always report stats: incremental clients (the
             // shard coordinator in particular) merge them fleet-wide.
@@ -850,7 +857,6 @@ pub(crate) fn shutdown_stream(stream: &TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::WireJobStatus;
 
     #[test]
     fn finished_jobs_keep_only_a_marker() {
@@ -897,7 +903,7 @@ mod tests {
             frames[9],
             Frame::Info {
                 job: 0,
-                status: WireJobStatus::Finished,
+                status: JobStatus::Finished,
                 ..
             }
         ));

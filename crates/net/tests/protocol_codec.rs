@@ -4,11 +4,13 @@
 //! frames, oversized bodies, bad verbs and non-UTF-8 input.
 
 use nbl_net::{
-    Frame, ProtocolError, SolveFrame, WireArtifacts, WireBackendLatency, WireBacklog, WireCause,
-    WireJobStatus, WireMetrics, WirePriority, WireStats, WireVerdict,
+    Frame, ProtocolError, SolveFrame, WireArtifacts, WireBackendLatency, WireBacklog, WireMetrics,
+    WireVerdict,
 };
+use nbl_sat_core::{ExhaustedResource, JobPriority, JobStatus, SolveStats, UnknownCause};
 use proptest::prelude::*;
 use std::io::Cursor;
+use std::time::Duration;
 
 const BACKENDS: &[&str] = &[
     "cdcl",
@@ -36,20 +38,16 @@ const BODY_LINES: &[&str] = &[
 
 const WORDS: &[&str] = &["unknown", "backend", "job", "budget", "'minisat'", "42"];
 
-const PRIORITIES: &[WirePriority] = &[WirePriority::Low, WirePriority::Normal, WirePriority::High];
+const PRIORITIES: &[JobPriority] = &[JobPriority::Low, JobPriority::Normal, JobPriority::High];
 const ARTIFACTS: &[WireArtifacts] = &[WireArtifacts::Verdict, WireArtifacts::Model];
-const CAUSES: &[WireCause] = &[
-    WireCause::Cancelled,
-    WireCause::Incomplete,
-    WireCause::BudgetWallClock,
-    WireCause::BudgetSamples,
-    WireCause::BudgetChecks,
+const CAUSES: &[UnknownCause] = &[
+    UnknownCause::Cancelled,
+    UnknownCause::Incomplete,
+    UnknownCause::BudgetExhausted(ExhaustedResource::WallClock),
+    UnknownCause::BudgetExhausted(ExhaustedResource::Samples),
+    UnknownCause::BudgetExhausted(ExhaustedResource::CoprocessorChecks),
 ];
-const STATUSES: &[WireJobStatus] = &[
-    WireJobStatus::Queued,
-    WireJobStatus::Running,
-    WireJobStatus::Finished,
-];
+const STATUSES: &[JobStatus] = &[JobStatus::Queued, JobStatus::Running, JobStatus::Finished];
 
 type OptU64 = (bool, u64);
 
@@ -136,21 +134,22 @@ fn build_frame(
         12 => Frame::Bye,
         13 => Frame::Stats {
             job,
-            stats: WireStats {
+            stats: SolveStats {
                 decisions: seed % 1009,
                 conflicts: job % 97,
                 propagations: seed % 7919,
                 restarts: selector as u64,
-                learned: job % 13,
-                tried: seed % 65537,
+                learned_clauses: job % 13,
+                assignments_tried: seed % 65537,
                 flips: job % 29,
-                checks: seed % 3,
+                coprocessor_checks: seed % 3,
                 samples: job % 11,
-                wall_us: seed % 1_000_003,
+                wall_time: Duration::from_micros(seed % 1_000_003),
                 cache_hits: job % 2,
-                pre_vars_removed: seed % 17,
+                preprocessed_vars_removed: seed % 17,
                 clauses_exported: seed % 257,
                 clauses_imported: job % 127,
+                ..SolveStats::default()
             },
         },
         14 => Frame::MetricsRequest,
@@ -541,4 +540,281 @@ fn parser_resynchronises_after_recoverable_errors() {
     assert!(Frame::read_from(&mut cursor).unwrap_err().is_recoverable());
     assert_eq!(Frame::read_from(&mut cursor).unwrap(), Some(Frame::Ping));
     assert_eq!(Frame::read_from(&mut cursor).unwrap(), None);
+}
+
+/// Pins the exact wire text of every frame variant: each priority, job
+/// status and UNKNOWN cause, INFO with and without its gauges, STATS with
+/// all fourteen counters and METRICS with all fifteen keys plus two backend
+/// lines. Each string must also parse back to the frame that produced it.
+#[test]
+fn golden_bytes_for_every_frame() {
+    let solve = |priority, artifacts| {
+        Frame::Solve(SolveFrame {
+            backend: "cdcl".into(),
+            seed: 9,
+            priority,
+            artifacts,
+            wall_ms: None,
+            max_samples: None,
+            max_checks: None,
+            stats: false,
+            body: vec!["p cnf 2 1".into(), "1 -2 0".into()],
+        })
+    };
+    let result = |verdict| Frame::Result { job: 4, verdict };
+    let info = |status| Frame::Info {
+        job: 6,
+        status,
+        backlog: None,
+    };
+    let golden: Vec<(Frame, &str)> =
+        vec![
+        (
+            solve(JobPriority::Low, WireArtifacts::Verdict),
+            "SOLVE cdcl seed=9 priority=low artifacts=verdict body-lines=2\np cnf 2 1\n1 -2 0\n",
+        ),
+        (
+            solve(JobPriority::Normal, WireArtifacts::Model),
+            "SOLVE cdcl seed=9 priority=normal artifacts=model body-lines=2\np cnf 2 1\n1 -2 0\n",
+        ),
+        (
+            Frame::Solve(SolveFrame {
+                backend: "nbl-sampled".into(),
+                seed: 18_446_744_073_709_551_615,
+                priority: JobPriority::High,
+                artifacts: WireArtifacts::Model,
+                wall_ms: Some(250),
+                max_samples: Some(4096),
+                max_checks: Some(3),
+                stats: true,
+                body: vec![],
+            }),
+            "SOLVE nbl-sampled seed=18446744073709551615 priority=high artifacts=model \
+             wall-ms=250 samples=4096 checks=3 stats=true body-lines=0\n",
+        ),
+        (Frame::Cancel { job: 17 }, "CANCEL 17\n"),
+        (Frame::Status { job: 18 }, "STATUS 18\n"),
+        (
+            Frame::Refill {
+                samples: Some(100),
+                checks: Some(7),
+                wall_ms: Some(5),
+            },
+            "REFILL samples=100 checks=7 wall-ms=5\n",
+        ),
+        (
+            Frame::Refill {
+                samples: None,
+                checks: Some(2),
+                wall_ms: None,
+            },
+            "REFILL checks=2\n",
+        ),
+        (Frame::Ping, "PING\n"),
+        (Frame::Hello, "HELLO\n"),
+        (Frame::Shutdown, "SHUTDOWN\n"),
+        (
+            Frame::SessionOpen {
+                backend: "cdcl".into(),
+            },
+            "SESSION OPEN backend=cdcl\n",
+        ),
+        (
+            Frame::SessionAddClauses {
+                session: 2,
+                body: vec!["1 2 0".into(), "-1 0".into()],
+            },
+            "SESSION ADDCLAUSES 2 body-lines=2\n1 2 0\n-1 0\n",
+        ),
+        (
+            Frame::SessionAssume {
+                session: 2,
+                literals: vec![-1, 3],
+                wall_ms: Some(40),
+                max_samples: Some(8),
+                max_checks: Some(1),
+            },
+            "SESSION ASSUME 2 lits=-1,3 wall-ms=40 samples=8 checks=1\n",
+        ),
+        (
+            Frame::SessionAssume {
+                session: 3,
+                literals: vec![],
+                wall_ms: None,
+                max_samples: None,
+                max_checks: None,
+            },
+            "SESSION ASSUME 3\n",
+        ),
+        (Frame::SessionPop { session: 2 }, "SESSION POP 2\n"),
+        (Frame::SessionClose { session: 2 }, "SESSION CLOSE 2\n"),
+        (Frame::MetricsRequest, "METRICS\n"),
+        (Frame::Queued { job: 4 }, "QUEUED 4\n"),
+        (
+            Frame::Model {
+                job: 4,
+                literals: vec![1, -2, 3],
+            },
+            "v 4 1 -2 3 0\n",
+        ),
+        (
+            Frame::Model {
+                job: 5,
+                literals: vec![],
+            },
+            "v 5 0\n",
+        ),
+        (
+            Frame::FailedAssumptions {
+                job: 9_223_372_036_854_775_808,
+                literals: vec![-1, 3],
+            },
+            "f 9223372036854775808 -1 3 0\n",
+        ),
+        (
+            Frame::Stats {
+                job: 4,
+                stats: SolveStats {
+                    decisions: 11,
+                    conflicts: 12,
+                    propagations: 13,
+                    restarts: 14,
+                    learned_clauses: 15,
+                    assignments_tried: 16,
+                    flips: 17,
+                    coprocessor_checks: 18,
+                    samples: 19,
+                    wall_time: Duration::from_micros(20),
+                    cache_hits: 21,
+                    preprocessed_vars_removed: 22,
+                    clauses_exported: 23,
+                    clauses_imported: 24,
+                    ..SolveStats::default()
+                },
+            },
+            "STATS 4 decisions=11 conflicts=12 propagations=13 restarts=14 learned=15 \
+             tried=16 flips=17 checks=18 samples=19 wall-us=20 cache-hits=21 \
+             pre-vars-removed=22 clauses-exported=23 clauses-imported=24\n",
+        ),
+        (result(WireVerdict::Satisfiable), "RESULT 4 s SATISFIABLE\n"),
+        (result(WireVerdict::Unsatisfiable), "RESULT 4 s UNSATISFIABLE\n"),
+        (
+            result(WireVerdict::Unknown(UnknownCause::Cancelled)),
+            "RESULT 4 s UNKNOWN cancelled\n",
+        ),
+        (
+            result(WireVerdict::Unknown(UnknownCause::Incomplete)),
+            "RESULT 4 s UNKNOWN incomplete\n",
+        ),
+        (
+            result(WireVerdict::Unknown(UnknownCause::BudgetExhausted(
+                ExhaustedResource::WallClock,
+            ))),
+            "RESULT 4 s UNKNOWN budget-wall-clock\n",
+        ),
+        (
+            result(WireVerdict::Unknown(UnknownCause::BudgetExhausted(
+                ExhaustedResource::Samples,
+            ))),
+            "RESULT 4 s UNKNOWN budget-samples\n",
+        ),
+        (
+            result(WireVerdict::Unknown(UnknownCause::BudgetExhausted(
+                ExhaustedResource::CoprocessorChecks,
+            ))),
+            "RESULT 4 s UNKNOWN budget-checks\n",
+        ),
+        (info(JobStatus::Queued), "INFO 6 queued\n"),
+        (info(JobStatus::Running), "INFO 6 running\n"),
+        (info(JobStatus::Finished), "INFO 6 finished\n"),
+        (
+            Frame::Info {
+                job: 6,
+                status: JobStatus::Queued,
+                backlog: Some(WireBacklog {
+                    queue_depth: 7,
+                    high: 1,
+                    normal: 4,
+                    low: 2,
+                }),
+            },
+            "INFO 6 queued queue-depth=7 backlog-high=1 backlog-normal=4 backlog-low=2\n",
+        ),
+        (
+            Frame::Metrics(WireMetrics {
+                queue_depth: 31,
+                backlog_high: 32,
+                backlog_normal: 33,
+                backlog_low: 34,
+                cache_hits: 35,
+                cache_misses: 36,
+                cache_evictions: 37,
+                cache_entries: 38,
+                pre_vars_removed: 39,
+                pre_clauses_removed: 40,
+                pre_solved: 41,
+                budget_samples_spent: 42,
+                budget_checks_spent: 43,
+                clauses_exported: 44,
+                clauses_imported: 45,
+                backends: vec![
+                    WireBackendLatency {
+                        name: "cdcl".into(),
+                        count: 3,
+                        total_us: 900,
+                        max_us: 500,
+                    },
+                    WireBackendLatency {
+                        name: "nbl-symbolic".into(),
+                        count: 1,
+                        total_us: 70,
+                        max_us: 70,
+                    },
+                ],
+            }),
+            "METRICS queue-depth=31 backlog-high=32 backlog-normal=33 backlog-low=34 \
+             cache-hits=35 cache-misses=36 cache-evictions=37 cache-entries=38 \
+             pre-vars-removed=39 pre-clauses-removed=40 pre-solved=41 \
+             budget-samples-spent=42 budget-checks-spent=43 clauses-exported=44 \
+             clauses-imported=45 body-lines=2\n\
+             backend cdcl count=3 total-us=900 max-us=500\n\
+             backend nbl-symbolic count=1 total-us=70 max-us=70\n",
+        ),
+        (
+            Frame::SessionOk {
+                session: 2,
+                depth: 1,
+            },
+            "SESSIONOK 2 depth=1\n",
+        ),
+        (Frame::Caps { sessions: true }, "CAPS sessions=true\n"),
+        (Frame::Caps { sessions: false }, "CAPS sessions=false\n"),
+        (Frame::OkRefill, "OK refill\n"),
+        (Frame::Pong, "PONG\n"),
+        (Frame::Bye, "BYE\n"),
+        (
+            Frame::Error {
+                job: Some(4),
+                message: "unknown job 4".into(),
+            },
+            "ERR 4 unknown job 4\n",
+        ),
+        (
+            Frame::Error {
+                job: None,
+                message: "unknown verb 'FROB'".into(),
+            },
+            "ERR - unknown verb 'FROB'\n",
+        ),
+    ];
+    for (frame, text) in golden {
+        assert_eq!(frame.encode(), text, "encoding of {frame:?}");
+        let mut cursor = Cursor::new(text.as_bytes());
+        assert_eq!(
+            Frame::read_from(&mut cursor).unwrap().as_ref(),
+            Some(&frame),
+            "parse of {text:?}"
+        );
+        assert_eq!(Frame::read_from(&mut cursor).unwrap(), None, "{text:?}");
+    }
 }

@@ -107,6 +107,7 @@ fn run() -> i32 {
 
     let outcome = coordinator.solve(&formula);
     println!("c fleet: {}", outcome.fleet);
+    println!("c stats: {}", outcome.stats);
     match outcome.verdict {
         SolveVerdict::Satisfiable => println!("s SATISFIABLE"),
         SolveVerdict::Unsatisfiable => println!("s UNSATISFIABLE"),

@@ -31,12 +31,10 @@ use cnf::{
     RestrictionOutcome, Variable,
 };
 use nbl_net::{
-    ClientConfig, NblSatClient, NetError, RemoteJob, RemoteSession, SolveFrame, WireCause,
-    WireVerdict,
+    ClientConfig, NblSatClient, NetError, RemoteJob, RemoteSession, SolveFrame, WireVerdict,
 };
 use nbl_sat_core::{
-    Artifacts, BackendRegistry, Budget, ExhaustedResource, SolveRequest, SolveStats, SolveVerdict,
-    UnknownCause,
+    Artifacts, BackendRegistry, Budget, SolveRequest, SolveStats, SolveVerdict, UnknownCause,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -130,6 +128,8 @@ impl ShardConfig {
 }
 
 /// Fleet-level counters, merged across every pump of a [`ShardCoordinator::solve`].
+/// The per-solve totals (cache hits, preprocessing, clause sharing) are in
+/// [`FleetOutcome::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetStats {
     /// Shards connected when the solve started.
@@ -163,17 +163,6 @@ pub struct FleetStats {
     pub shard_deaths: usize,
     /// `CANCEL` frames sent to abandon moot in-flight jobs.
     pub cancellations_sent: usize,
-    /// Pipeline cache hits reported by remote shards and the local fallback.
-    pub cache_hits: u64,
-    /// Variables eliminated by preprocessing: the coordinator's own
-    /// front-of-fleet pass plus any reported by sub-solves.
-    pub pre_vars_removed: u64,
-    /// Clauses exported into cooperative-portfolio pools, summed over every
-    /// remote shard and local fallback solve.
-    pub clauses_exported: u64,
-    /// Clauses imported from cooperative-portfolio pools, summed over every
-    /// remote shard and local fallback solve.
-    pub clauses_imported: u64,
 }
 
 impl fmt::Display for FleetStats {
@@ -182,8 +171,7 @@ impl fmt::Display for FleetStats {
             f,
             "shards={} cubes={} splitter-refuted={} remote sat/unsat/unknown={}/{}/{} \
              trivial sat/unsat={}/{} local={} requeues={} steals={} resplits={} \
-             assume-dispatches={} deaths={} cancels={} cache-hits={} pre-vars-removed={} \
-             clauses-exported={} clauses-imported={}",
+             assume-dispatches={} deaths={} cancels={}",
             self.shards,
             self.cubes_split,
             self.splitter_refuted,
@@ -199,10 +187,6 @@ impl fmt::Display for FleetStats {
             self.assumption_dispatches,
             self.shard_deaths,
             self.cancellations_sent,
-            self.cache_hits,
-            self.pre_vars_removed,
-            self.clauses_exported,
-            self.clauses_imported,
         )
     }
 }
@@ -217,7 +201,8 @@ pub struct FleetOutcome {
     /// A satisfying assignment over the original formula's variables,
     /// verified by the coordinator itself.
     pub model: Option<Assignment>,
-    /// Per-shard [`SolveStats`] summed over every sub-solve.
+    /// Every sub-solve's [`SolveStats`], merged, plus the variables the
+    /// coordinator's own preprocessing removed.
     pub stats: SolveStats,
     /// Fleet-level counters.
     pub fleet: FleetStats,
@@ -431,36 +416,6 @@ impl FleetState {
     }
 }
 
-/// Adds every counter of `part` (and its wall time) into `total`.
-fn absorb_stats(total: &mut SolveStats, part: &SolveStats) {
-    total.decisions += part.decisions;
-    total.conflicts += part.conflicts;
-    total.propagations += part.propagations;
-    total.restarts += part.restarts;
-    total.learned_clauses += part.learned_clauses;
-    total.assignments_tried += part.assignments_tried;
-    total.flips += part.flips;
-    total.coprocessor_checks += part.coprocessor_checks;
-    total.samples += part.samples;
-    total.cache_hits += part.cache_hits;
-    total.preprocessed_vars_removed += part.preprocessed_vars_removed;
-    total.clauses_exported += part.clauses_exported;
-    total.clauses_imported += part.clauses_imported;
-    total.wall_time += part.wall_time;
-}
-
-fn cause_from_wire(cause: WireCause) -> UnknownCause {
-    match cause {
-        WireCause::Cancelled => UnknownCause::Cancelled,
-        WireCause::Incomplete => UnknownCause::Incomplete,
-        WireCause::BudgetWallClock => UnknownCause::BudgetExhausted(ExhaustedResource::WallClock),
-        WireCause::BudgetSamples => UnknownCause::BudgetExhausted(ExhaustedResource::Samples),
-        WireCause::BudgetChecks => {
-            UnknownCause::BudgetExhausted(ExhaustedResource::CoprocessorChecks)
-        }
-    }
-}
-
 /// Lifts a remote `v`-line (DIMACS-signed literals) into an assignment
 /// spanning at least `num_vars` variables; unmentioned variables are false.
 fn assignment_from_lits(lits: &[i64], num_vars: usize) -> Assignment {
@@ -557,7 +512,6 @@ impl ShardCoordinator {
             },
             fleet: FleetStats {
                 shards: self.shards.len(),
-                pre_vars_removed: vars_removed,
                 ..FleetStats::default()
             },
         };
@@ -578,7 +532,6 @@ impl ShardCoordinator {
             } => {
                 let mut outcome = self.solve_fleet(&reduced);
                 outcome.stats.preprocessed_vars_removed += vars_removed;
-                outcome.fleet.pre_vars_removed += vars_removed;
                 if let Some(model) = outcome.model.take() {
                     let lifted = trace.lift_model(&model);
                     if formula.evaluate(&lifted) {
@@ -727,11 +680,7 @@ impl ShardCoordinator {
                         .budget(budget);
                     match self.config.registry.solve(&self.config.backend, &request) {
                         Ok(outcome) => {
-                            absorb_stats(&mut state.stats, &outcome.stats);
-                            state.fleet.cache_hits += outcome.stats.cache_hits;
-                            state.fleet.pre_vars_removed += outcome.stats.preprocessed_vars_removed;
-                            state.fleet.clauses_exported += outcome.stats.clauses_exported;
-                            state.fleet.clauses_imported += outcome.stats.clauses_imported;
+                            state.stats.merge(&outcome.stats);
                             match outcome.verdict {
                                 SolveVerdict::Satisfiable => {
                                     let model = outcome
@@ -972,13 +921,8 @@ fn await_remote(
         match job.wait_timeout(POLL_INTERVAL) {
             Ok(outcome) => {
                 let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(stats) = outcome.stats {
-                    let stats = stats.to_solve_stats();
-                    absorb_stats(&mut state.stats, &stats);
-                    state.fleet.cache_hits += stats.cache_hits;
-                    state.fleet.pre_vars_removed += stats.preprocessed_vars_removed;
-                    state.fleet.clauses_exported += stats.clauses_exported;
-                    state.fleet.clauses_imported += stats.clauses_imported;
+                if let Some(stats) = &outcome.stats {
+                    state.stats.merge(stats);
                 }
                 state.tasks[id].inflight = None;
                 if state.tasks[id].resolved || state.done {
@@ -1006,7 +950,7 @@ fn await_remote(
                     }
                     WireVerdict::Unknown(cause) => {
                         state.fleet.remote_unknown += 1;
-                        retry_or_blemish(&mut state, id, cause_from_wire(cause));
+                        retry_or_blemish(&mut state, id, cause);
                     }
                 }
                 shared.wake.notify_all();

@@ -88,7 +88,7 @@ pub mod prelude {
     };
     pub use nbl_net::{
         ClientConfig, NblSatClient, NblSatServer, NetError, RemoteJob, RemoteOutcome,
-        RemoteSession, ServerConfig, SolveFrame, WireBacklog, WireMetrics, WireStats, WireVerdict,
+        RemoteSession, ServerConfig, SolveFrame, WireBacklog, WireMetrics, WireVerdict,
     };
     pub use nbl_noise::{CarrierKind, RunningStats};
     pub use nbl_sat_core::{

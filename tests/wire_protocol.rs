@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use nbl_sat_repro::net::{ServerConfig, WireArtifacts, WireCause, WireJobStatus};
+use nbl_sat_repro::net::{ServerConfig, WireArtifacts};
 
 /// Binds a default-config server on an ephemeral loopback port.
 fn start_server(config: ServerConfig) -> NblSatServer {
@@ -183,7 +183,7 @@ fn one_connection_multiplexes_out_of_order_completions() {
     // Make sure the slow job is actually running before racing it, so the
     // fast job cannot win by queue order alone.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while slow.status().expect("status") != WireJobStatus::Running {
+    while slow.status().expect("status") != JobStatus::Running {
         assert!(Instant::now() < deadline, "gated job never started");
         thread::yield_now();
     }
@@ -220,7 +220,7 @@ fn client_disconnect_cancels_its_unfinished_jobs() {
             ))
             .expect("submit");
         let deadline = Instant::now() + Duration::from_secs(30);
-        while job.status().expect("status") != WireJobStatus::Running {
+        while job.status().expect("status") != JobStatus::Running {
             assert!(Instant::now() < deadline, "gated job never started");
             thread::yield_now();
         }
@@ -252,7 +252,7 @@ fn cancel_of_a_running_job_answers_unknown_cancelled_over_the_wire() {
         .submit(SolveFrame::new("cdcl", &cnf::dimacs::to_string(&hard)))
         .expect("submit");
     let deadline = Instant::now() + Duration::from_secs(30);
-    while job.status().expect("status") != WireJobStatus::Running {
+    while job.status().expect("status") != JobStatus::Running {
         assert!(Instant::now() < deadline, "job never started running");
         thread::yield_now();
     }
@@ -263,7 +263,7 @@ fn cancel_of_a_running_job_answers_unknown_cancelled_over_the_wire() {
     let latency = cancelled_at.elapsed();
     assert_eq!(
         outcome.verdict,
-        nbl_sat_repro::net::WireVerdict::Unknown(WireCause::Cancelled),
+        nbl_sat_repro::net::WireVerdict::Unknown(UnknownCause::Cancelled),
         "expected UNKNOWN cancelled, got {:?}",
         outcome.verdict
     );
@@ -296,7 +296,9 @@ fn budget_exhaustion_and_refill_over_the_wire() {
     let starved = client.submit(first.clone()).unwrap().wait().unwrap();
     assert_eq!(
         starved.verdict,
-        nbl_sat_repro::net::WireVerdict::Unknown(WireCause::BudgetChecks),
+        nbl_sat_repro::net::WireVerdict::Unknown(UnknownCause::BudgetExhausted(
+            ExhaustedResource::CoprocessorChecks
+        )),
         "expected budget exhaustion, got {:?}",
         starved.verdict
     );
@@ -323,7 +325,9 @@ fn per_request_budget_caps_apply_over_the_wire() {
     let outcome = client.submit(frame).unwrap().wait().unwrap();
     assert_eq!(
         outcome.verdict,
-        nbl_sat_repro::net::WireVerdict::Unknown(WireCause::BudgetSamples),
+        nbl_sat_repro::net::WireVerdict::Unknown(UnknownCause::BudgetExhausted(
+            ExhaustedResource::Samples
+        )),
         "expected sample exhaustion, got {:?}",
         outcome.verdict
     );
@@ -407,7 +411,7 @@ fn status_reports_the_job_lifecycle_and_unknown_jobs_err() {
     let outcome = job.wait().expect("outcome");
     assert!(outcome.verdict.is_sat());
     // After completion the server still answers STATUS for the job.
-    assert_eq!(job.status().expect("status"), WireJobStatus::Finished);
+    assert_eq!(job.status().expect("status"), JobStatus::Finished);
     drop(client);
 
     // STATUS (and CANCEL) for a job this connection never submitted err
@@ -429,6 +433,39 @@ fn status_reports_the_job_lifecycle_and_unknown_jobs_err() {
     );
     stream.write_all(b"PING\n").unwrap();
     assert_eq!(read_line(&mut reader), "PONG");
+    server.stop();
+}
+
+#[test]
+fn status_of_a_session_job_keeps_its_wait_intact() {
+    let server = start_server(ServerConfig::new().workers(1));
+    let client = NblSatClient::connect(server.local_addr()).expect("connect");
+    let session = client.open_session("cdcl").expect("open session");
+    let php = cnf::dimacs::to_string(&cnf::generators::pigeonhole(8, 7));
+    session.add_clauses(&php).expect("push");
+    let job = session.assume(&[]).expect("queue");
+    // A job-scoped ERR here would also become the answer of the wait below.
+    let status = job.status().expect("STATUS of a session job");
+    assert_ne!(status, JobStatus::Queued, "session calls read running");
+    job.cancel().expect("cancel");
+    let outcome = job.wait().expect("the job's RESULT");
+    assert!(
+        matches!(
+            outcome.verdict,
+            WireVerdict::Unsatisfiable | WireVerdict::Unknown(UnknownCause::Cancelled)
+        ),
+        "got {:?}",
+        outcome.verdict
+    );
+    assert_eq!(job.status().expect("status"), JobStatus::Finished);
+    // CANCEL of the finished job is a no-op: no ERR lands in its mailbox.
+    job.cancel().expect("cancel");
+    client.ping().expect("ping");
+    assert!(
+        job.poll().is_none(),
+        "CANCEL of a finished session job erred"
+    );
+    session.close().expect("close");
     server.stop();
 }
 

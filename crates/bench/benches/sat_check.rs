@@ -4,6 +4,7 @@
 
 use cnf::generators::{self, RandomKSatConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
+use nbl_noise::{CarrierBank, UniformBank};
 use nbl_sat_core::{
     AlgebraicEngine, EngineConfig, NblEngine, NblSatInstance, SampledEngine, SymbolicEngine,
 };
@@ -74,5 +75,56 @@ fn symbolic_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, engines_on_worked_examples, symbolic_scaling);
+/// The Monte-Carlo engine against its own noise source, on four fixed random
+/// 3-SAT formulas at n = 5, α = 4.26. `estimate` runs one
+/// `SampledEngine::estimate` per formula with the cap and the convergence
+/// check both at 20 000 samples, so every run draws and evaluates exactly
+/// 20 000 samples; `draw` makes 20 000 `next_sample` calls per formula on a
+/// `UniformBank` of the same source count. CI requires both records and
+/// asserts that `estimate` costs at most 1.6× `draw`: one sample at a time,
+/// evaluation alone costs about as much as drawing.
+fn sampled_kernel(c: &mut Criterion) {
+    const SAMPLES: u64 = 20_000;
+    let instances: Vec<NblSatInstance> = (0..4u64)
+        .map(|seed| {
+            let config = RandomKSatConfig::from_ratio(5, 4.26, 3).with_seed(seed + 100);
+            NblSatInstance::new(&generators::random_ksat(&config).unwrap()).unwrap()
+        })
+        .collect();
+    let config = EngineConfig::new()
+        .with_seed(5)
+        .with_max_samples(SAMPLES)
+        .with_check_interval(SAMPLES);
+    let mut group = c.benchmark_group("sampled_kernel");
+    group.bench_function("estimate", |b| {
+        b.iter(|| {
+            for instance in &instances {
+                let estimate = SampledEngine::new(config)
+                    .estimate(instance, &instance.empty_bindings())
+                    .unwrap();
+                assert_eq!(estimate.samples, SAMPLES);
+            }
+        })
+    });
+    group.bench_function("draw", |b| {
+        b.iter(|| {
+            for instance in &instances {
+                let mut bank = UniformBank::new(instance.num_sources(), 5);
+                let mut values = vec![0.0; instance.num_sources()];
+                for _ in 0..SAMPLES {
+                    bank.next_sample(&mut values);
+                }
+                criterion::black_box(&values);
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    engines_on_worked_examples,
+    symbolic_scaling,
+    sampled_kernel
+);
 criterion_main!(benches);

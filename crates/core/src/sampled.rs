@@ -2,16 +2,24 @@
 //!
 //! This engine is the Rust counterpart of the MATLAB simulation the paper
 //! validates its scheme with (§IV): every basis noise source is an explicit
-//! carrier stream, the superpositions τ_N and Σ_N are evaluated sample by
-//! sample exactly as the analog datapath would produce them, and the SAT
-//! decision observes the running mean of the product waveform.
+//! carrier stream, the superpositions τ_N and Σ_N are evaluated on every
+//! simulated time step exactly as the analog datapath would produce them, and
+//! the SAT decision observes the running mean of the product waveform.
+//!
+//! The simulation advances in blocks of 16 time steps. One
+//! [`CarrierBank::fill`] writes 16 steps of every carrier into one row per
+//! source, τ_N and Σ_N are evaluated lane by lane across those rows, and the
+//! 16 products enter the correlator and the §IV stopping rule in time order.
+//! Every lane performs the floating-point operations of a one-step-at-a-time
+//! evaluation, in the same order, so the block size changes no estimate and
+//! no trace.
 
 use crate::budget::{BudgetMeter, ExhaustedResource};
 use crate::config::EngineConfig;
 use crate::convergence::{log_spaced_checkpoints, ConvergenceTrace};
 use crate::engine::{MeanEstimate, NblEngine};
 use crate::error::{NblSatError, Result};
-use crate::transform::NblSatInstance;
+use crate::transform::{NblSatInstance, SourceIndex};
 use cnf::bits::WORD_BITS;
 use cnf::{PartialAssignment, Variable};
 use nbl_noise::{CarrierBank, ConvergenceTracker, Correlator};
@@ -23,7 +31,9 @@ use nbl_noise::{CarrierBank, ConvergenceTracker, Correlator};
 /// values, and their product is integrated by a correlator. The engine stops
 /// when the §IV criterion is met (running mean stable to
 /// [`EngineConfig::significant_digits`] significant digits) or when the sample
-/// cap is reached.
+/// cap is reached. Samples are simulated 16 at a time (see the module docs);
+/// the estimate is the one a sample-by-sample simulation of the same carrier
+/// stream gives, bit for bit.
 ///
 /// ```
 /// use cnf::generators::example7_unsat;
@@ -46,136 +56,205 @@ impl Default for SampledEngine {
     }
 }
 
-/// Reusable per-sample evaluation state.
-#[derive(Debug)]
-struct Evaluator {
-    values: Vec<f64>,
-    bank: Box<dyn CarrierBank>,
-}
+/// Time steps simulated per block: enough lanes for the lane loops to
+/// vectorize, few enough that a block of a few hundred sources stays in L1.
+const LANES: usize = 16;
 
-/// Flattened evaluation plan of S_N = τ_N · Σ_N, the one sample evaluator
-/// behind both the convergence loop and [`SampledEngine::trace`]: the τ_N /
-/// Σ_N datapath with every source lookup resolved to a flat index up front,
-/// so the per-sample inner loop touches only contiguous index arrays.
-///
-/// The multiplication order is *identical* to the scalar τ_N and Σ_N
-/// evaluators it replaced (kept as test-only reference helpers), so the plan
-/// produces a bit-identical floating-point stream.
+/// One value per time step of a block.
+type Lanes = [f64; LANES];
+
+/// Flat evaluation plan of S_N = τ_N · Σ_N: every source lookup of the τ_N /
+/// Σ_N datapath resolved to an index up front.
 #[derive(Debug)]
 struct SamplePlan {
-    tau: Vec<TauTerm>,
-    sigma: Vec<SigmaClause>,
+    /// The τ_N binding of each of the `n` variables.
+    bindings: Vec<Option<bool>>,
+    /// The `[positive, negative]` source pair of every clause × variable,
+    /// clause-major: entry `j·n + i` is clause `j`, variable `i`.
+    pairs: Vec<[u32; 2]>,
+    /// The Σ_N literals of every clause in clause order, clause after clause.
+    literals: Vec<SigmaLiteral>,
+    /// Where each clause's run in `literals` ends.
+    clause_ends: Vec<usize>,
 }
 
-/// One τ_N factor: the binding of variable `i` plus the flat source indices
-/// of its positive and negative carrier products across all clauses.
+/// One cube subspace T^j_lit of Σ_N: the literal's own source times the pair
+/// sum of every other variable of clause `j`.
 #[derive(Debug)]
-struct TauTerm {
-    binding: Option<bool>,
-    pos: Vec<u32>,
-    neg: Vec<u32>,
-}
-
-/// One Σ_N factor (clause hyperspace Z_j): the cube-subspace terms summed.
-#[derive(Debug)]
-struct SigmaClause {
-    terms: Vec<SigmaTerm>,
-}
-
-/// One cube subspace T^j_lit: the literal's own source index and the
-/// `(positive, negative)` source pairs of every other variable.
-#[derive(Debug)]
-struct SigmaTerm {
-    lit_source: u32,
-    others: Vec<(u32, u32)>,
+struct SigmaLiteral {
+    source: u32,
+    var: u32,
 }
 
 impl SamplePlan {
     fn new(instance: &NblSatInstance, bindings: &PartialAssignment) -> Self {
-        let m = instance.num_clauses();
         let n = instance.num_vars();
-        let tau = (0..n)
-            .map(|i| {
+        let index = |source: SourceIndex| {
+            u32::try_from(source.index()).expect("a block row per source fits in memory")
+        };
+        let mut pairs = Vec::with_capacity(instance.nm());
+        let mut literals = Vec::new();
+        let mut clause_ends = Vec::with_capacity(instance.num_clauses());
+        for (j, clause) in instance.formula().iter().enumerate() {
+            pairs.extend((0..n).map(|i| {
                 let var = Variable::new(i);
-                TauTerm {
-                    binding: bindings.value(var),
-                    pos: (0..m)
-                        .map(|j| instance.source(j, var, true).index() as u32)
-                        .collect(),
-                    neg: (0..m)
-                        .map(|j| instance.source(j, var, false).index() as u32)
-                        .collect(),
-                }
-            })
-            .collect();
-        let sigma = instance
-            .formula()
-            .iter()
-            .enumerate()
-            .map(|(j, clause)| SigmaClause {
-                terms: clause
-                    .iter()
-                    .map(|&lit| SigmaTerm {
-                        lit_source: instance.literal_source(j, lit).index() as u32,
-                        others: (0..n)
-                            .filter(|&i| Variable::new(i) != lit.variable())
-                            .map(|i| {
-                                let var = Variable::new(i);
-                                (
-                                    instance.source(j, var, true).index() as u32,
-                                    instance.source(j, var, false).index() as u32,
-                                )
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        SamplePlan { tau, sigma }
-    }
-
-    /// One sample of S_N = τ_N · Σ_N through the flattened plan.
-    fn s_sample(&self, values: &[f64]) -> f64 {
-        let mut tau = 1.0;
-        for term in &self.tau {
-            let product = |indices: &[u32]| {
-                let mut p = 1.0;
-                for &s in indices {
-                    p *= values[s as usize];
-                }
-                p
-            };
-            tau *= match term.binding {
-                None => product(&term.pos) + product(&term.neg),
-                Some(true) => product(&term.pos),
-                Some(false) => product(&term.neg),
-            };
+                [
+                    index(instance.source(j, var, true)),
+                    index(instance.source(j, var, false)),
+                ]
+            }));
+            literals.extend(clause.iter().map(|&lit| SigmaLiteral {
+                source: index(instance.literal_source(j, lit)),
+                var: u32::try_from(lit.variable().index()).expect("fewer variables than sources"),
+            }));
+            clause_ends.push(literals.len());
         }
-        let mut sigma = 1.0;
-        for clause in &self.sigma {
-            let mut z_j = 0.0;
-            for term in &clause.terms {
-                let mut t = values[term.lit_source as usize];
-                for &(pos, neg) in &term.others {
-                    t *= values[pos as usize] + values[neg as usize];
-                }
-                z_j += t;
-            }
-            sigma *= z_j;
+        SamplePlan {
+            bindings: (0..n).map(|i| bindings.value(Variable::new(i))).collect(),
+            pairs,
+            literals,
+            clause_ends,
         }
-        tau * sigma
     }
 }
 
-/// Mutable state threaded through the convergence loop.
+/// The carrier bank and the block buffers a [`SamplePlan`] is evaluated on.
 #[derive(Debug)]
-struct LoopState {
-    eval: Evaluator,
-    correlator: Correlator,
-    tracker: ConvergenceTracker,
-    samples: u64,
-    converged: bool,
-    timed_out: bool,
+struct Evaluator {
+    plan: SamplePlan,
+    bank: Box<dyn CarrierBank>,
+    /// One row per source: its values at the block's time steps.
+    block: Vec<Lanes>,
+    /// `positive + negative` of every clause × variable pair, indexed like
+    /// [`SamplePlan::pairs`].
+    sums: Vec<Lanes>,
+}
+
+/// How an [`Evaluator::run`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunEnd {
+    /// The caller's stopping rule fired.
+    Stopped,
+    /// The sample cap was reached.
+    Capped,
+    /// The meter's deadline passed or its cancellation token was raised.
+    TimedOut,
+}
+
+impl Evaluator {
+    /// Simulates the next `lanes` time steps and returns S_N at each. The
+    /// values past `lanes` are computed on the previous block's carrier values
+    /// and mean nothing.
+    fn next_block(&mut self, lanes: usize) -> Lanes {
+        self.bank.fill(self.block.as_flattened_mut(), LANES, lanes);
+        let plan = &self.plan;
+        let n = plan.bindings.len();
+        let block = &self.block;
+        let row = |source: u32| &block[source as usize];
+
+        let mut tau = [1.0; LANES];
+        for (i, binding) in plan.bindings.iter().enumerate() {
+            // Π_j N^j over variable i's sources of one sign, j in order.
+            let product = |sign: usize| {
+                let mut p = [1.0; LANES];
+                for pair in plan.pairs[i..].iter().step_by(n) {
+                    mul_lanes(&mut p, row(pair[sign]));
+                }
+                p
+            };
+            let factor = match binding {
+                None => {
+                    let mut sum = product(0);
+                    add_lanes(&mut sum, &product(1));
+                    sum
+                }
+                Some(true) => product(0),
+                Some(false) => product(1),
+            };
+            mul_lanes(&mut tau, &factor);
+        }
+
+        for (sum, &[pos, neg]) in self.sums.iter_mut().zip(&plan.pairs) {
+            // Summed in a local: `sums` and `block` could alias for all the
+            // compiler knows, and writing through `sum` lane by lane would
+            // keep it from vectorizing.
+            let mut lanes = *row(pos);
+            add_lanes(&mut lanes, row(neg));
+            *sum = lanes;
+        }
+        let mut sigma = [1.0; LANES];
+        let mut start = 0;
+        for (clause_sums, &end) in self.sums.chunks_exact(n).zip(&plan.clause_ends) {
+            let mut z = [0.0; LANES];
+            for literal in &plan.literals[start..end] {
+                let var = literal.var as usize;
+                let mut term = *row(literal.source);
+                for sum in clause_sums[..var].iter().chain(&clause_sums[var + 1..]) {
+                    mul_lanes(&mut term, sum);
+                }
+                add_lanes(&mut z, &term);
+            }
+            mul_lanes(&mut sigma, &z);
+            start = end;
+        }
+        mul_lanes(&mut tau, &sigma);
+        tau
+    }
+
+    /// Pushes S_N samples into `correlator` until `stop(samples, correlator)`
+    /// returns `true` after a sample, `cap` samples have been pushed, or the
+    /// meter's deadline passes.
+    ///
+    /// The deadline is polled, and the meter charged, once per 64-sample
+    /// word; the charges add up to exactly the samples pushed. A stop in the
+    /// middle of a block discards the block's remaining lanes.
+    fn run(
+        &mut self,
+        cap: u64,
+        meter: &mut BudgetMeter,
+        correlator: &mut Correlator,
+        mut stop: impl FnMut(u64, &Correlator) -> bool,
+    ) -> RunEnd {
+        let mut samples = 0u64;
+        while samples < cap {
+            if meter.ensure_time().is_err() {
+                return RunEnd::TimedOut;
+            }
+            let word_start = samples;
+            let word_end = samples + (WORD_BITS as u64).min(cap - samples);
+            let mut stopped = false;
+            'word: while samples < word_end {
+                let lanes = (LANES as u64).min(word_end - samples) as usize;
+                for &product in &self.next_block(lanes)[..lanes] {
+                    correlator.push_product(product);
+                    samples += 1;
+                    if stop(samples, correlator) {
+                        stopped = true;
+                        break 'word;
+                    }
+                }
+            }
+            meter.charge_samples(samples - word_start);
+            if stopped {
+                return RunEnd::Stopped;
+            }
+        }
+        RunEnd::Capped
+    }
+}
+
+/// `acc[k] *= x[k]` in every lane.
+fn mul_lanes(acc: &mut Lanes, x: &Lanes) {
+    for (a, &b) in acc.iter_mut().zip(x) {
+        *a *= b;
+    }
+}
+
+/// `acc[k] += x[k]` in every lane.
+fn add_lanes(acc: &mut Lanes, x: &Lanes) {
+    for (a, &b) in acc.iter_mut().zip(x) {
+        *a += b;
+    }
 }
 
 impl SampledEngine {
@@ -189,56 +268,16 @@ impl SampledEngine {
         &self.config
     }
 
-    fn evaluator(&self, instance: &NblSatInstance) -> Evaluator {
+    fn evaluator(&self, instance: &NblSatInstance, bindings: &PartialAssignment) -> Evaluator {
+        let plan = SamplePlan::new(instance, bindings);
         Evaluator {
-            values: vec![0.0; instance.num_sources()],
             bank: self
                 .config
                 .carrier
                 .bank(instance.num_sources(), self.config.seed),
-        }
-    }
-
-    /// The convergence loop: samples are drawn and charged a 64-lane word at
-    /// a time through a flattened [`SamplePlan`]. Each full word charges
-    /// [`WORD_BITS`] samples to the meter; the tail word is clamped to `cap`
-    /// and an early convergence break charges exactly the lanes drawn, so the
-    /// meter sees every sample exactly once. The wall-clock deadline is
-    /// polled at word boundaries.
-    fn converge_packed(
-        instance: &NblSatInstance,
-        bindings: &PartialAssignment,
-        cap: u64,
-        meter: &mut BudgetMeter,
-        state: &mut LoopState,
-    ) {
-        let plan = SamplePlan::new(instance, bindings);
-        while state.samples < cap {
-            if meter.ensure_time().is_err() {
-                state.timed_out = true;
-                break;
-            }
-            let lanes = (WORD_BITS as u64).min(cap - state.samples);
-            let mut drawn = 0u64;
-            for _ in 0..lanes {
-                state.eval.bank.next_sample(&mut state.eval.values);
-                state
-                    .correlator
-                    .push_product(plan.s_sample(&state.eval.values));
-                state.samples += 1;
-                drawn += 1;
-                if state
-                    .tracker
-                    .observe(state.samples, state.correlator.mean_product())
-                {
-                    state.converged = true;
-                    break;
-                }
-            }
-            meter.charge_samples(drawn);
-            if state.converged {
-                break;
-            }
+            block: vec![[0.0; LANES]; instance.num_sources()],
+            sums: vec![[0.0; LANES]; plan.pairs.len()],
+            plan,
         }
     }
 
@@ -265,21 +304,20 @@ impl SampledEngine {
         sorted.sort_unstable();
         sorted.dedup();
         let max = *sorted.last().expect("non-empty");
-        let plan = SamplePlan::new(instance, bindings);
-        let mut eval = self.evaluator(instance);
-        let mut correlator = Correlator::new();
         let mut next_checkpoint = 0usize;
-        for sample in 1..=max {
-            eval.bank.next_sample(&mut eval.values);
-            correlator.push_product(plan.s_sample(&eval.values));
-            if sample == sorted[next_checkpoint] {
-                trace.push(sample, correlator.mean_product());
-                next_checkpoint += 1;
-                if next_checkpoint == sorted.len() {
-                    break;
+        // An unlimited meter: a trace has no deadline to poll.
+        self.evaluator(instance, bindings).run(
+            max,
+            &mut BudgetMeter::default(),
+            &mut Correlator::new(),
+            |samples, correlator| {
+                if samples == sorted[next_checkpoint] {
+                    trace.push(samples, correlator.mean_product());
+                    next_checkpoint += 1;
                 }
-            }
-        }
+                next_checkpoint == sorted.len()
+            },
+        );
         Ok(trace)
     }
 
@@ -314,7 +352,7 @@ impl NblEngine for SampledEngine {
 
     /// Budgeted variant of the convergence loop: the sample cap is clamped to
     /// the meter's remaining allowance and the wall-clock deadline is polled
-    /// every few samples, so a budget genuinely interrupts the simulation.
+    /// every 64 samples, so a budget genuinely interrupts the simulation.
     ///
     /// When a limit fires before the engine's own stopping rule (§IV
     /// convergence) is met, the exhaustion is reported as
@@ -335,33 +373,26 @@ impl NblEngine for SampledEngine {
         let budget_cap = meter.remaining_samples().unwrap_or(u64::MAX);
         let cap = self.config.max_samples.min(budget_cap);
         let budget_clamped = budget_cap < self.config.max_samples;
-        let mut state = LoopState {
-            eval: self.evaluator(instance),
-            correlator: Correlator::new(),
-            tracker: ConvergenceTracker::new(
-                self.config.significant_digits,
-                self.config.check_interval,
-            ),
-            samples: 0,
-            converged: false,
-            timed_out: false,
-        };
-        Self::converge_packed(instance, bindings, cap, meter, &mut state);
-        if state.timed_out && !state.converged {
-            return Err(NblSatError::BudgetExhausted {
-                resource: ExhaustedResource::WallClock,
-            });
-        }
-        if budget_clamped && state.samples == cap && !state.converged {
-            return Err(NblSatError::BudgetExhausted {
-                resource: ExhaustedResource::Samples,
-            });
+        let mut correlator = Correlator::new();
+        let mut tracker =
+            ConvergenceTracker::new(self.config.significant_digits, self.config.check_interval);
+        let end = self.evaluator(instance, bindings).run(
+            cap,
+            meter,
+            &mut correlator,
+            |samples, correlator| tracker.observe(samples, correlator.mean_product()),
+        );
+        let exhausted = |resource| Err(NblSatError::BudgetExhausted { resource });
+        match end {
+            RunEnd::TimedOut => return exhausted(ExhaustedResource::WallClock),
+            RunEnd::Capped if budget_clamped => return exhausted(ExhaustedResource::Samples),
+            RunEnd::Stopped | RunEnd::Capped => {}
         }
         Ok(MeanEstimate {
-            mean: state.correlator.mean_product(),
-            std_error: state.correlator.std_error(),
-            samples: state.samples,
-            converged: state.converged,
+            mean: correlator.mean_product(),
+            std_error: correlator.std_error(),
+            samples: correlator.count(),
+            converged: end == RunEnd::Stopped,
             exact: false,
         })
     }
@@ -371,18 +402,9 @@ impl NblEngine for SampledEngine {
     }
 }
 
-/// How often (in samples) the budgeted convergence loop polls the wall-clock
-/// deadline. Each sample already costs `O(n·m)` multiplications, so polling
-/// every few samples keeps the overhead negligible while bounding the
-/// reaction latency. Kept equal to [`WORD_BITS`] so the scalar and packed
-/// loops poll at the same instants (word boundaries) and therefore interrupt
-/// identically.
-#[cfg(test)]
-const DEADLINE_POLL_INTERVAL: u64 = WORD_BITS as u64;
-
-/// The scalar sample evaluator and convergence loop this module ran before
-/// [`SamplePlan`] became its only evaluator: a test-only oracle, kept
-/// verbatim, that the production estimate and trace must match bit for bit
+/// The scalar evaluator and loops: a test-only oracle that draws and
+/// evaluates one sample at a time, resolving every source through the
+/// instance. The block engine's estimate and trace must match it bit for bit
 /// ([`MeanEstimate`] and [`ConvergenceTrace`]).
 #[cfg(test)]
 impl SampledEngine {
@@ -436,75 +458,55 @@ impl SampledEngine {
         Self::tau_sample(instance, bindings, values) * Self::sigma_sample(instance, values)
     }
 
-    /// The scalar reference convergence loop: one sample per iteration, the
-    /// whole run charged to the meter in one piece at the end.
-    fn converge_scalar(
-        instance: &NblSatInstance,
-        bindings: &PartialAssignment,
-        cap: u64,
-        meter: &mut BudgetMeter,
-        state: &mut LoopState,
-    ) {
-        while state.samples < cap {
-            if state.samples.is_multiple_of(DEADLINE_POLL_INTERVAL) && meter.ensure_time().is_err()
-            {
-                state.timed_out = true;
-                break;
-            }
-            state.eval.bank.next_sample(&mut state.eval.values);
-            state
-                .correlator
-                .push_product(Self::s_sample(instance, bindings, &state.eval.values));
-            state.samples += 1;
-            if state
-                .tracker
-                .observe(state.samples, state.correlator.mean_product())
-            {
-                state.converged = true;
-                break;
-            }
+    /// The scalar S_N stream: one [`CarrierBank::next_sample`] and one
+    /// [`SampledEngine::s_sample`] per call of `next`.
+    fn scalar_stream<'a>(
+        &self,
+        instance: &'a NblSatInstance,
+        bindings: &'a PartialAssignment,
+    ) -> impl FnMut() -> f64 + 'a {
+        let mut bank = self
+            .config
+            .carrier
+            .bank(instance.num_sources(), self.config.seed);
+        let mut values = vec![0.0; instance.num_sources()];
+        move || {
+            bank.next_sample(&mut values);
+            Self::s_sample(instance, bindings, &values)
         }
-        meter.charge_samples(state.samples);
     }
 
-    /// [`NblEngine::estimate`] through the scalar convergence loop.
-    fn estimate_scalar(
+    /// [`NblEngine::estimate`] through the scalar convergence loop: one
+    /// sample per iteration, no budget.
+    fn converge_scalar(
         &self,
         instance: &NblSatInstance,
         bindings: &PartialAssignment,
     ) -> MeanEstimate {
-        let mut state = LoopState {
-            eval: self.evaluator(instance),
-            correlator: Correlator::new(),
-            tracker: ConvergenceTracker::new(
-                self.config.significant_digits,
-                self.config.check_interval,
-            ),
-            samples: 0,
-            converged: false,
-            timed_out: false,
-        };
-        let mut meter = BudgetMeter::default();
-        Self::converge_scalar(
-            instance,
-            bindings,
-            self.config.max_samples,
-            &mut meter,
-            &mut state,
-        );
+        let mut next = self.scalar_stream(instance, bindings);
+        let mut correlator = Correlator::new();
+        let mut tracker =
+            ConvergenceTracker::new(self.config.significant_digits, self.config.check_interval);
+        let mut converged = false;
+        while correlator.count() < self.config.max_samples {
+            correlator.push_product(next());
+            if tracker.observe(correlator.count(), correlator.mean_product()) {
+                converged = true;
+                break;
+            }
+        }
         MeanEstimate {
-            mean: state.correlator.mean_product(),
-            std_error: state.correlator.std_error(),
-            samples: state.samples,
-            converged: state.converged,
+            mean: correlator.mean_product(),
+            std_error: correlator.std_error(),
+            samples: correlator.count(),
+            converged,
             exact: false,
         }
     }
 
-    /// [`SampledEngine::trace`] as it ran before [`SamplePlan`]: every
-    /// sample through the scalar [`SampledEngine::s_sample`].
+    /// [`SampledEngine::trace`] through the scalar stream.
     fn trace_scalar(
-        &mut self,
+        &self,
         instance: &NblSatInstance,
         bindings: &PartialAssignment,
         label: impl Into<String>,
@@ -519,12 +521,11 @@ impl SampledEngine {
         sorted.sort_unstable();
         sorted.dedup();
         let max = *sorted.last().expect("non-empty");
-        let mut eval = self.evaluator(instance);
+        let mut next = self.scalar_stream(instance, bindings);
         let mut correlator = Correlator::new();
         let mut next_checkpoint = 0usize;
         for sample in 1..=max {
-            eval.bank.next_sample(&mut eval.values);
-            correlator.push_product(Self::s_sample(instance, bindings, &eval.values));
+            correlator.push_product(next());
             if sample == sorted[next_checkpoint] {
                 trace.push(sample, correlator.mean_product());
                 next_checkpoint += 1;
@@ -541,7 +542,8 @@ impl SampledEngine {
 mod tests {
     use super::*;
     use crate::symbolic::SymbolicEngine;
-    use cnf::generators;
+    use cnf::generators::{self, RandomKSatConfig};
+    use cnf::PreprocessOutcome;
     use nbl_noise::CarrierKind;
 
     fn instance(f: &cnf::CnfFormula) -> NblSatInstance {
@@ -761,8 +763,25 @@ mod tests {
         ));
     }
 
+    /// Random 3-SAT at `num_vars` variables and ratio `alpha`, reduced as the
+    /// solve pipeline reduces it before dispatch: the formula of the first
+    /// seed from `seed` on that preprocessing does not answer outright.
+    fn preprocessed_random_3sat(num_vars: usize, alpha: f64, seed: u64) -> cnf::CnfFormula {
+        (seed..)
+            .find_map(|seed| {
+                let config = RandomKSatConfig::from_ratio(num_vars, alpha, 3).with_seed(seed);
+                match cnf::preprocess(&generators::random_ksat(&config).unwrap()).outcome {
+                    PreprocessOutcome::Reduced { formula, .. } => Some(formula),
+                    PreprocessOutcome::Satisfiable(_) | PreprocessOutcome::Unsatisfiable => None,
+                }
+            })
+            .expect("some seed leaves a residual")
+    }
+
     /// The paper's four worked instances, each unbound and with x0 bound
-    /// either way.
+    /// either way, and preprocessed random 3-SAT at n = 4–6 and
+    /// α ∈ {3, 4.26, 5}, each unbound, with x0 bound and with x0 and the last
+    /// variable bound.
     fn reference_cases() -> Vec<(NblSatInstance, PartialAssignment)> {
         let mut cases = Vec::new();
         for formula in [
@@ -780,41 +799,110 @@ mod tests {
                 cases.push((inst.clone(), bindings));
             }
         }
+        for num_vars in 4..=6 {
+            for (k, alpha) in [3.0, 4.26, 5.0].into_iter().enumerate() {
+                let seed = 10 * num_vars as u64 + k as u64;
+                let inst = instance(&preprocessed_random_3sat(num_vars, alpha, seed));
+                let last = Variable::new(inst.num_vars() - 1);
+                let mut bindings = inst.empty_bindings();
+                cases.push((inst.clone(), bindings.clone()));
+                bindings.assign(Variable::new(0), true);
+                cases.push((inst.clone(), bindings.clone()));
+                bindings.assign(last, false);
+                cases.push((inst, bindings));
+            }
+        }
         cases
+    }
+
+    /// Every carrier family at a cap (10 003) and a convergence-check
+    /// interval (1 001) that fall in the middle of a block and of a word.
+    fn reference_configs(seed: u64) -> impl Iterator<Item = EngineConfig> {
+        CarrierKind::all().into_iter().map(move |kind| {
+            EngineConfig::new()
+                .with_seed(seed)
+                .with_max_samples(10_003)
+                .with_check_interval(1_001)
+                .with_carrier(kind)
+        })
+    }
+
+    /// An estimate's fields, floats as bit patterns.
+    fn estimate_bits(estimate: &MeanEstimate) -> (u64, u64, u64, bool, bool) {
+        (
+            estimate.mean.to_bits(),
+            estimate.std_error.to_bits(),
+            estimate.samples,
+            estimate.converged,
+            estimate.exact,
+        )
     }
 
     #[test]
     fn estimate_matches_the_scalar_reference() {
-        // The flattened SamplePlan preserves the scalar path's f64
-        // multiplication order exactly, so the two must agree on every bit
-        // of the estimate — mean, std error, sample count, convergence.
-        for (inst, bindings) in reference_cases() {
-            let expected = SampledEngine::new(quick_config(9)).estimate_scalar(&inst, &bindings);
-            let mut engine = SampledEngine::new(quick_config(9));
-            let estimate = engine.estimate(&inst, &bindings).unwrap();
-            assert_eq!(estimate, expected, "diverged on {bindings:?}");
+        // Each block lane repeats the scalar path's f64 operations in order,
+        // so the two must agree on every bit of the estimate — mean, std
+        // error, sample count, convergence — for every carrier family.
+        let cases = reference_cases();
+        let (mut converged_mid_block, mut capped) = (0, 0);
+        for config in reference_configs(9) {
+            for (inst, bindings) in &cases {
+                let expected = SampledEngine::new(config).converge_scalar(inst, bindings);
+                let estimate = SampledEngine::new(config).estimate(inst, bindings).unwrap();
+                assert_eq!(
+                    estimate_bits(&estimate),
+                    estimate_bits(&expected),
+                    "{} diverged on {bindings:?}: {estimate} vs {expected}",
+                    config.carrier
+                );
+                converged_mid_block += usize::from(
+                    expected.converged && !expected.samples.is_multiple_of(LANES as u64),
+                );
+                capped += usize::from(expected.samples == config.max_samples);
+            }
         }
+        // Both ways a run can end inside a block are exercised.
+        assert!(converged_mid_block > 0 && capped > 0);
     }
 
     #[test]
     fn trace_matches_the_scalar_reference() {
-        let checkpoints = log_spaced_checkpoints(20_000, 4);
-        for (inst, bindings) in reference_cases() {
-            let mut reference = SampledEngine::new(quick_config(4));
-            let expected = reference
-                .trace_scalar(&inst, &bindings, "S_N", &checkpoints)
-                .unwrap();
-            let mut engine = SampledEngine::new(quick_config(4));
-            let trace = engine.trace(&inst, &bindings, "S_N", &checkpoints).unwrap();
-            assert_eq!(trace, expected, "diverged on {bindings:?}");
+        let mut checkpoints = log_spaced_checkpoints(5_000, 4);
+        checkpoints.extend([15, 16, 17, 1_001, 5_003]);
+        checkpoints.sort_unstable();
+        checkpoints.dedup();
+        let cases = reference_cases();
+        for config in reference_configs(4) {
+            for (inst, bindings) in &cases {
+                let expected = SampledEngine::new(config)
+                    .trace_scalar(inst, bindings, "S_N", &checkpoints)
+                    .unwrap();
+                let trace = SampledEngine::new(config)
+                    .trace(inst, bindings, "S_N", &checkpoints)
+                    .unwrap();
+                let bits = |trace: &ConvergenceTrace| -> Vec<(u64, u64)> {
+                    trace
+                        .points
+                        .iter()
+                        .map(|point| (point.samples, point.mean.to_bits()))
+                        .collect()
+                };
+                assert_eq!(
+                    bits(&trace),
+                    bits(&expected),
+                    "{} diverged on {bindings:?}",
+                    config.carrier
+                );
+                assert_eq!(trace.points.len(), checkpoints.len());
+            }
         }
     }
 
     #[test]
     fn packed_budget_accounting_is_exact() {
         use crate::budget::{Budget, BudgetMeter};
-        // A 200-sample allowance is not a multiple of anything the packed
-        // loop cares about beyond three full words plus an 8-lane tail; the
+        // A 200-sample allowance is three full 64-sample words plus an
+        // 8-sample tail that ends half way through a 16-sample block; the
         // per-word charges must still add up to exactly 200.
         let inst = instance(&generators::section4_unsat_instance());
         let mut engine = SampledEngine::new(quick_config(1));
@@ -823,8 +911,8 @@ mod tests {
             .estimate_budgeted(&inst, &inst.empty_bindings(), &mut meter)
             .is_err());
         assert_eq!(meter.samples_used(), 200);
-        // And when the engine converges early, only the drawn lanes of the
-        // final word are charged.
+        // And when the engine converges early, only the samples pushed in the
+        // final word are charged, not the rest of its last block.
         let mut engine = SampledEngine::new(quick_config(1));
         let mut meter = BudgetMeter::start(&Budget::unlimited().with_max_samples(10_000_000));
         let est = engine

@@ -1,6 +1,6 @@
 //! Gaussian noise carriers.
 
-use crate::carrier::CarrierBank;
+use crate::carrier::{assert_fill_layout, CarrierBank};
 use crate::rng::{RandomSource, Xoshiro256StarStar};
 
 /// A bank of independent zero-mean Gaussian carriers.
@@ -52,10 +52,12 @@ impl CarrierBank for GaussianBank {
         self.num_sources
     }
 
-    fn next_sample(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.num_sources, "buffer size mismatch");
-        for slot in out.iter_mut() {
-            *slot = self.rng.next_gaussian() * self.sigma;
+    fn fill(&mut self, out: &mut [f64], stride: usize, steps: usize) {
+        assert_fill_layout(out, self.num_sources, stride, steps);
+        for t in 0..steps {
+            for slot in out.iter_mut().skip(t).step_by(stride) {
+                *slot = self.rng.next_gaussian() * self.sigma;
+            }
         }
     }
 

@@ -21,8 +21,20 @@ pub trait RandomSource {
     }
 
     /// Returns a float uniformly distributed in `[-half_range, half_range)`.
+    ///
+    /// With `k = next_u64() >> 11` (53 random bits) the value is
+    /// `((k − 2^52) · 2^-52) · half_range`: an integer subtraction, one
+    /// conversion and two multiplications. It equals
+    /// `(next_f64() − 0.5) · 2 · half_range`, the unit float shifted and
+    /// scaled, in every bit including the sign of zero. In that form
+    /// `k · 2^-53`, its difference with 0.5 and the doubling are all exact
+    /// (each is an integer below 2^53 in magnitude times a power of two), so
+    /// both forms multiply the same `f64` by `half_range`; a zero difference
+    /// is `+0.0` in both.
     fn next_symmetric(&mut self, half_range: f64) -> f64 {
-        (self.next_f64() - 0.5) * 2.0 * half_range
+        const MIDPOINT: i64 = 1 << 52;
+        let k = (self.next_u64() >> 11) as i64;
+        ((k - MIDPOINT) as f64 * (1.0 / MIDPOINT as f64)) * half_range
     }
 
     /// Returns a standard-normal sample (Box–Muller transform).
@@ -180,6 +192,50 @@ mod tests {
             max = max.max(x);
         }
         assert!(min < -0.45 && max > 0.45);
+    }
+
+    /// Replays a fixed list of raw 64-bit draws.
+    struct Replay(Vec<u64>);
+
+    impl RandomSource for Replay {
+        fn next_u64(&mut self) -> u64 {
+            self.0.pop().expect("replay exhausted")
+        }
+    }
+
+    #[test]
+    fn next_symmetric_equals_the_shifted_unit_float_bit_for_bit() {
+        let shifted =
+            |rng: &mut dyn RandomSource, half_range: f64| (rng.next_f64() - 0.5) * 2.0 * half_range;
+        for half_range in [0.5, 1.0, 2.0, 0.1, 3.7] {
+            let mut rng = Xoshiro256StarStar::new(12);
+            let mut reference = rng;
+            for _ in 0..1_000_000 {
+                assert_eq!(
+                    rng.next_symmetric(half_range).to_bits(),
+                    shifted(&mut reference, half_range).to_bits(),
+                    "half range {half_range}"
+                );
+            }
+            // The ends of the range and the exact midpoint (k = 2^52, a +0.0
+            // in both forms), which random draws almost never hit.
+            let edges = [
+                0,
+                u64::MAX,
+                1 << 63,
+                (1 << 63) - (1 << 11),
+                (1 << 63) + (1 << 11),
+            ];
+            let mut rng = Replay(edges.to_vec());
+            let mut reference = Replay(edges.to_vec());
+            for _ in edges {
+                assert_eq!(
+                    rng.next_symmetric(half_range).to_bits(),
+                    shifted(&mut reference, half_range).to_bits(),
+                    "half range {half_range}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Random telegraph wave (RTW) carriers.
 
-use crate::carrier::CarrierBank;
+use crate::carrier::{assert_fill_layout, CarrierBank};
 use crate::rng::{RandomSource, Xoshiro256StarStar};
 
 /// A bank of independent random telegraph waves.
@@ -86,13 +86,16 @@ impl CarrierBank for RtwBank {
         self.states.len()
     }
 
-    fn next_sample(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.states.len(), "buffer size mismatch");
-        for (slot, state) in out.iter_mut().zip(self.states.iter_mut()) {
-            if self.rng.next_bool(self.switch_probability) {
-                *state = -*state;
+    fn fill(&mut self, out: &mut [f64], stride: usize, steps: usize) {
+        assert_fill_layout(out, self.states.len(), stride, steps);
+        for t in 0..steps {
+            let slots = out.iter_mut().skip(t).step_by(stride);
+            for (slot, state) in slots.zip(self.states.iter_mut()) {
+                if self.rng.next_bool(self.switch_probability) {
+                    *state = -*state;
+                }
+                *slot = *state;
             }
-            *slot = *state;
         }
     }
 

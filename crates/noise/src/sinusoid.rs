@@ -1,6 +1,6 @@
 //! Sinusoidal carriers (sinusoid-based logic, SBL).
 
-use crate::carrier::CarrierBank;
+use crate::carrier::{assert_fill_layout, CarrierBank};
 use crate::rng::{RandomSource, SplitMix64};
 use std::f64::consts::TAU;
 
@@ -77,13 +77,16 @@ impl CarrierBank for SinusoidBank {
         self.frequencies.len()
     }
 
-    fn next_sample(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.frequencies.len(), "buffer size mismatch");
-        let t = self.step as f64 / self.samples_per_period as f64;
-        for ((slot, &freq), &phase) in out.iter_mut().zip(&self.frequencies).zip(&self.phases) {
-            *slot = self.amplitude * (TAU * freq * t + phase).cos();
+    fn fill(&mut self, out: &mut [f64], stride: usize, steps: usize) {
+        assert_fill_layout(out, self.frequencies.len(), stride, steps);
+        for t in 0..steps {
+            let time = self.step as f64 / self.samples_per_period as f64;
+            let slots = out.iter_mut().skip(t).step_by(stride);
+            for ((slot, &freq), &phase) in slots.zip(&self.frequencies).zip(&self.phases) {
+                *slot = self.amplitude * (TAU * freq * time + phase).cos();
+            }
+            self.step += 1;
         }
-        self.step += 1;
     }
 
     fn variance(&self) -> f64 {

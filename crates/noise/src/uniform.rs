@@ -1,6 +1,6 @@
 //! Uniform noise carriers (the paper's default basis sources).
 
-use crate::carrier::CarrierBank;
+use crate::carrier::{assert_fill_layout, CarrierBank};
 use crate::rng::{RandomSource, Xoshiro256StarStar};
 
 /// A bank of independent uniform noise carriers on `[-amplitude, amplitude]`.
@@ -59,11 +59,17 @@ impl CarrierBank for UniformBank {
         self.num_sources
     }
 
-    fn next_sample(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.num_sources, "buffer size mismatch");
-        for slot in out.iter_mut() {
-            *slot = self.rng.next_symmetric(self.amplitude);
+    fn fill(&mut self, out: &mut [f64], stride: usize, steps: usize) {
+        assert_fill_layout(out, self.num_sources, stride, steps);
+        // The generator runs in a local copy so its state stays in registers
+        // across the stores into `out`.
+        let mut rng = self.rng;
+        for t in 0..steps {
+            for slot in out.iter_mut().skip(t).step_by(stride) {
+                *slot = rng.next_symmetric(self.amplitude);
+            }
         }
+        self.rng = rng;
     }
 
     fn variance(&self) -> f64 {

@@ -1,12 +1,14 @@
 //! Criterion bench for E3/E8: the single-operation SAT check under each
 //! engine (exact counting, algebraic expansion, Monte-Carlo sampling) on the
-//! paper's worked examples, and the exact engine's scaling with `n`.
+//! paper's worked examples, the exact engine's scaling with `n`, and the
+//! exact engine's batches of checks against one check.
 
 use cnf::generators::{self, RandomKSatConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use nbl_noise::{CarrierBank, UniformBank};
 use nbl_sat_core::{
-    AlgebraicEngine, EngineConfig, NblEngine, NblSatInstance, SampledEngine, SymbolicEngine,
+    AlgebraicEngine, AssignmentExtractor, EngineConfig, HybridSolver, NblEngine, NblSatInstance,
+    SampledEngine, SymbolicEngine,
 };
 
 fn engines_on_worked_examples(c: &mut Criterion) {
@@ -121,10 +123,61 @@ fn sampled_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The exact engine's two batch callers against one exact check, on four
+/// fixed satisfiable random 3-SAT formulas at n = 18, α = 3. `check` is one
+/// `SymbolicEngine::estimate` per formula, `hybrid` one
+/// `HybridSolver::with_ideal_coprocessor().solve` (186–236 logical checks)
+/// and `extract` one Algorithm 2 run (18 logical checks). CI requires all
+/// three records and asserts `hybrid` ≤ 8× `check` and `extract` ≤ 0.6×
+/// `check`: one weighted count per logical check costs 33–36× and 0.8–1.3×.
+fn exact_batches(c: &mut Criterion) {
+    let formulas: Vec<cnf::CnfFormula> = (0..4u64)
+        .map(|seed| {
+            let config = RandomKSatConfig::from_ratio(18, 3.0, 3).with_seed(seed + 100);
+            generators::random_ksat(&config).unwrap()
+        })
+        .collect();
+    let instances: Vec<NblSatInstance> = formulas
+        .iter()
+        .map(|formula| NblSatInstance::new(formula).unwrap())
+        .collect();
+    let mut group = c.benchmark_group("exact_batches");
+    group.bench_function("check", |b| {
+        b.iter(|| {
+            for instance in &instances {
+                SymbolicEngine::new()
+                    .estimate(instance, &instance.empty_bindings())
+                    .unwrap();
+            }
+        })
+    });
+    group.bench_function("hybrid", |b| {
+        b.iter(|| {
+            for formula in &formulas {
+                let model = HybridSolver::with_ideal_coprocessor()
+                    .solve(formula)
+                    .unwrap();
+                assert!(model.is_some());
+            }
+        })
+    });
+    group.bench_function("extract", |b| {
+        b.iter(|| {
+            for instance in &instances {
+                AssignmentExtractor::new(SymbolicEngine::new())
+                    .extract(instance)
+                    .unwrap();
+            }
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     engines_on_worked_examples,
     symbolic_scaling,
-    sampled_kernel
+    sampled_kernel,
+    exact_batches
 );
 criterion_main!(benches);

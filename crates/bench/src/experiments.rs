@@ -436,13 +436,19 @@ pub fn carrier_ablation(samples: u64, seed: u64) -> (Vec<CarrierRow>, String) {
     (rows, report)
 }
 
+/// How many identical estimates [`cost_scaling`] times per row; it prints
+/// their median.
+const COST_SCALING_RUNS: usize = 5;
+
 /// E8 (§III.F): the O(2^{nm}) product count and the software engine's
-/// per-sample cost across instance sizes.
+/// per-sample cost across instance sizes. Each row's cost is the median of
+/// five identical estimates, each on a fresh engine.
 pub fn cost_scaling(seed: u64) -> String {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "# E8 / cost model: NBL product-term count (O(2^nm)) and per-sample simulation cost"
+        "# E8 / cost model: NBL product-term count (O(2^nm)) and per-sample simulation cost \
+         (median of {COST_SCALING_RUNS} identical estimates)"
     );
     let _ = writeln!(
         report,
@@ -458,12 +464,18 @@ pub fn cost_scaling(seed: u64) -> String {
             .with_seed(seed)
             .with_max_samples(samples)
             .with_check_interval(samples);
-        let start = std::time::Instant::now();
-        let mut engine = SampledEngine::new(config);
-        let _ = engine
-            .estimate(&instance, &instance.empty_bindings())
-            .expect("estimate");
-        let elapsed = start.elapsed();
+        let mut elapsed: Vec<std::time::Duration> = (0..COST_SCALING_RUNS)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let mut engine = SampledEngine::new(config);
+                let _ = engine
+                    .estimate(&instance, &instance.empty_bindings())
+                    .expect("estimate");
+                start.elapsed()
+            })
+            .collect();
+        elapsed.sort();
+        let median = elapsed[COST_SCALING_RUNS / 2];
         let _ = writeln!(
             report,
             "{}\t{}\t{}\t{}\t{:.3e}\t{:.0}",
@@ -472,7 +484,7 @@ pub fn cost_scaling(seed: u64) -> String {
             n * m,
             instance.num_sources(),
             instance.product_term_count(&instance.empty_bindings()),
-            elapsed.as_nanos() as f64 / samples as f64
+            median.as_nanos() as f64 / samples as f64
         );
     }
     report

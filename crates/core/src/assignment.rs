@@ -1,8 +1,16 @@
 //! Satisfying-assignment determination (Algorithm 2 of the paper).
+//!
+//! Algorithm 2 binds x_1, …, x_n to 1 in turn and keeps each 1 whose
+//! subspace still holds a model. Each step is one logical check, asked for
+//! through [`NblEngine::extraction_step`]. The exact [`crate::SymbolicEngine`]
+//! answers a step with a search that stops at its first model, or with no
+//! search at all when the last model it returned already lies in the step's
+//! subspace. Other engines answer with a mean estimate. The decisions, the
+//! model and the check count are the same either way.
 
 use crate::budget::BudgetMeter;
 use crate::checker::{SatChecker, Verdict};
-use crate::engine::NblEngine;
+use crate::engine::{NblEngine, StepAnswer};
 use crate::error::{NblSatError, Result};
 use crate::transform::NblSatInstance;
 use cnf::{Assignment, CnfFormula, Cube, Literal, Variable};
@@ -164,17 +172,36 @@ impl<E: NblEngine> AssignmentExtractor<E> {
         let mut bindings = instance.empty_bindings();
         let mut all_exact = true;
         let mut last_estimate: Option<crate::MeanEstimate> = None;
+        // The last model an exact step returned. It agrees with every
+        // decision so far: a step that keeps x_i = 1 either reused it or
+        // replaced it, and a step that sets x_i = 0 found no model with
+        // x_i = 1, so it has x_i = 0 as well.
+        let mut witness: Option<Assignment> = None;
         for i in 0..instance.num_vars() {
             let var = Variable::new(i);
             // Line 4: bind x_i to 1 in the (already reduced) hyperspace.
             bindings.assign(var, true);
-            let estimate = self.checker.estimate_budgeted(instance, &bindings, meter)?;
-            all_exact &= estimate.exact;
-            if self.checker.decide(&estimate) == Verdict::Unsatisfiable {
+            let holds_model = match self.checker.extraction_step_budgeted(
+                instance,
+                &bindings,
+                witness.as_ref(),
+                meter,
+            )? {
+                StepAnswer::Estimate(estimate) => {
+                    all_exact &= estimate.exact;
+                    last_estimate = Some(estimate);
+                    self.checker.decide(&estimate) == Verdict::Satisfiable
+                }
+                StepAnswer::Model(None) => false,
+                StepAnswer::Model(model) => {
+                    witness = model;
+                    true
+                }
+            };
+            if !holds_model {
                 // The solution lies in the x̄_i subspace (line 8).
                 bindings.assign(var, false);
             }
-            last_estimate = Some(estimate);
         }
         let assignment = bindings
             .try_to_complete()
@@ -251,11 +278,14 @@ impl<E: NblEngine> AssignmentExtractor<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{Budget, ExhaustedResource};
     use crate::config::EngineConfig;
+    use crate::engine::{batch_corpus, budget_corpus, PerCheck};
     use crate::sampled::SampledEngine;
     use crate::symbolic::SymbolicEngine;
     use cnf::cnf_formula;
     use cnf::generators::{self, RandomKSatConfig};
+    use std::time::Duration;
 
     fn instance(f: &cnf::CnfFormula) -> NblSatInstance {
         NblSatInstance::new(f).unwrap()
@@ -408,8 +438,53 @@ mod tests {
     }
 
     #[test]
+    fn witness_reuse_matches_per_check_extraction() {
+        let mut satisfiable = 0;
+        for (label, formula) in batch_corpus() {
+            let inst = instance(&formula);
+            let mut batched = AssignmentExtractor::new(SymbolicEngine::new());
+            let mut per_check = AssignmentExtractor::new(PerCheck(SymbolicEngine::new()));
+            let outcome = batched.extract(&inst);
+            assert_eq!(outcome, per_check.extract(&inst), "{label}");
+            assert_eq!(
+                batched.checker().checks_performed(),
+                per_check.checker().checks_performed(),
+                "{label}"
+            );
+            match outcome {
+                Ok(outcome) => {
+                    assert!(formula.evaluate(outcome.assignment.as_ref().unwrap()));
+                    satisfiable += 1;
+                }
+                Err(e) => assert_eq!(e, NblSatError::InstanceUnsatisfiable, "{label}"),
+            }
+        }
+        assert!(satisfiable > 100, "{satisfiable} satisfiable formulas");
+    }
+
+    /// Algorithm 1 and then, on SAT, Algorithm 2 on one meter, as the
+    /// `nbl-symbolic` backend runs them for a model. Returns the result, the
+    /// checks counted and the checks charged.
+    fn check_then_extract<E: NblEngine>(
+        engine: E,
+        inst: &NblSatInstance,
+        budget: &Budget,
+    ) -> (Result<Option<ExtractionOutcome>>, u64, u64) {
+        let mut meter = BudgetMeter::start(budget);
+        let mut checker = SatChecker::new(engine);
+        let verdict = checker.check_budgeted(inst, &inst.empty_bindings(), &mut meter);
+        let mut extractor = AssignmentExtractor::from_checker(checker);
+        let result = match verdict {
+            Ok(Verdict::Satisfiable) => extractor.extract_budgeted(inst, &mut meter).map(Some),
+            Ok(Verdict::Unsatisfiable) => Ok(None),
+            Err(e) => Err(e),
+        };
+        let counted = extractor.checker().checks_performed();
+        (result, counted, meter.checks_used())
+    }
+
+    #[test]
     fn check_budget_interrupts_extraction() {
-        use crate::budget::{Budget, BudgetMeter, ExhaustedResource};
         // Algorithm 2 needs n = 2 checks; a 1-check allowance must interrupt.
         let inst = instance(&generators::example6_sat());
         let mut extractor = AssignmentExtractor::new(SymbolicEngine::new());
@@ -427,6 +502,61 @@ mod tests {
         let outcome = extractor.extract_budgeted(&inst, &mut meter).unwrap();
         assert!(outcome.assignment.is_some());
         assert_eq!(meter.checks_used(), 2);
+
+        // At every check allowance up to the unlimited run's count, witness
+        // reuse stops where the per-check extraction stops.
+        for (label, formula) in budget_corpus() {
+            let inst = instance(&formula);
+            let unlimited = Budget::unlimited();
+            let (result, checks, _) = check_then_extract(SymbolicEngine::new(), &inst, &unlimited);
+            assert!(result.is_ok(), "{label}: {result:?}");
+            for k in 0..=checks {
+                let budget = Budget::unlimited().with_max_checks(k);
+                let batched = check_then_extract(SymbolicEngine::new(), &inst, &budget);
+                let per_check = check_then_extract(PerCheck(SymbolicEngine::new()), &inst, &budget);
+                assert_eq!(batched, per_check, "{label} with {k} checks");
+                assert_eq!(batched.0.is_err(), k < checks, "{label} with {k} checks");
+            }
+            // An expired deadline still stops it.
+            let expired = Budget::unlimited().with_wall_time(Duration::ZERO);
+            let mut meter = BudgetMeter::start(&expired);
+            assert_eq!(
+                AssignmentExtractor::new(SymbolicEngine::new()).extract_budgeted(&inst, &mut meter),
+                Err(NblSatError::BudgetExhausted {
+                    resource: ExhaustedResource::WallClock
+                }),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn free_variable_cap_matches_per_check_extraction() {
+        // Step i checks a subspace with n - 1 - i free variables, so a cap of
+        // n - 2 stops the first step with that step's size.
+        for (label, formula) in budget_corpus() {
+            let inst = instance(&formula);
+            let n = inst.num_vars();
+            for cap in [n - 2, n - 1, n] {
+                let mut batched =
+                    AssignmentExtractor::new(SymbolicEngine::new().with_max_free_vars(cap));
+                let mut per_check = AssignmentExtractor::new(PerCheck(
+                    SymbolicEngine::new().with_max_free_vars(cap),
+                ));
+                let expected = per_check.extract(&inst);
+                assert_eq!(
+                    batched.extract(&inst),
+                    expected,
+                    "{label} with a cap of {cap}"
+                );
+                if cap == n - 2 {
+                    assert!(
+                        matches!(expected, Err(NblSatError::InstanceTooLarge { actual, .. }) if actual == n - 1),
+                        "{label}: {expected:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

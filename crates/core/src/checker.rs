@@ -1,10 +1,10 @@
 //! The single-operation satisfiability check (Algorithm 1 of the paper).
 
 use crate::budget::BudgetMeter;
-use crate::engine::{MeanEstimate, NblEngine};
+use crate::engine::{MeanEstimate, NblEngine, StepAnswer};
 use crate::error::Result;
 use crate::transform::NblSatInstance;
-use cnf::PartialAssignment;
+use cnf::{Assignment, Literal, PartialAssignment};
 use std::fmt;
 
 /// The outcome of an NBL-SAT check.
@@ -139,6 +139,58 @@ impl<E: NblEngine> SatChecker<E> {
         meter.charge_check()?;
         self.checks_performed += 1;
         self.engine.estimate_budgeted(instance, bindings, meter)
+    }
+
+    /// Budgeted checks of every child of a search node through
+    /// [`NblEngine::literal_means`], counting each check the engine charges
+    /// to `meter` as one operation.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::NblSatError::BudgetExhausted`] when a limit fires, plus any
+    /// engine error.
+    pub fn literal_means_budgeted(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        meter: &mut BudgetMeter,
+        visit: &mut dyn FnMut(Literal, MeanEstimate),
+    ) -> Result<()> {
+        self.count_charged(meter, |engine, meter| {
+            engine.literal_means(instance, bindings, meter, visit)
+        })
+    }
+
+    /// One budgeted Algorithm 2 check through [`NblEngine::extraction_step`],
+    /// counted as one operation once the engine has charged it.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::NblSatError::BudgetExhausted`] when a limit fires, plus any
+    /// engine error.
+    pub fn extraction_step_budgeted(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        witness: Option<&Assignment>,
+        meter: &mut BudgetMeter,
+    ) -> Result<StepAnswer> {
+        self.count_charged(meter, |engine, meter| {
+            engine.extraction_step(instance, bindings, witness, meter)
+        })
+    }
+
+    /// Runs `batch` on the engine and counts each check it charged to
+    /// `meter` as one operation, also when it fails.
+    fn count_charged<T>(
+        &mut self,
+        meter: &mut BudgetMeter,
+        batch: impl FnOnce(&mut E, &mut BudgetMeter) -> Result<T>,
+    ) -> Result<T> {
+        let charged = meter.checks_used();
+        let result = batch(&mut self.engine, meter);
+        self.checks_performed += meter.checks_used() - charged;
+        result
     }
 
     /// Applies the decision rule of Algorithm 1 to a mean estimate.

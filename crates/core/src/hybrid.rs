@@ -1,4 +1,13 @@
 //! The hybrid CPU + NBL-coprocessor solver (§V of the paper).
+//!
+//! At every search node the CPU asks the coprocessor for the mean of S_N
+//! under each free variable bound each way, and branches on the largest.
+//! It asks for all of a node's means at once, through
+//! [`NblEngine::literal_means`]: the exact [`crate::SymbolicEngine`] answers
+//! them with one weighted-count pass, and every other engine runs one check
+//! per mean. Either way each mean is one logical check, charged and counted
+//! in variable-index order, true before false, so budgets, statistics and
+//! decisions do not depend on how the engine computes them.
 
 use crate::budget::BudgetMeter;
 use crate::checker::SatChecker;
@@ -6,7 +15,8 @@ use crate::engine::NblEngine;
 use crate::error::{NblSatError, Result};
 use crate::transform::NblSatInstance;
 use cnf::{
-    propagate_units, Assignment, CnfFormula, PartialAssignment, PropagationOutcome, Variable,
+    propagate_units, Assignment, CnfFormula, Literal, PartialAssignment, PropagationOutcome,
+    Variable,
 };
 use std::fmt;
 
@@ -137,40 +147,27 @@ impl<E: NblEngine> HybridSolver<E> {
         }
         // Ask the coprocessor for guidance: for every free variable and both
         // polarities, estimate the reduced S_N mean and take the maximum.
-        let mut best: Option<(Variable, bool, f64)> = None;
-        for i in 0..formula.num_vars() {
-            let var = Variable::new(i);
-            if assignment.value(var).is_some() {
-                continue;
-            }
-            for value in [true, false] {
-                assignment.assign(var, value);
-                let estimate = self.checker.estimate_budgeted(instance, assignment, meter);
-                assignment.unassign(var);
-                let estimate = match estimate {
-                    Ok(estimate) => {
-                        self.stats.coprocessor_checks += 1;
-                        estimate
-                    }
-                    Err(e) => {
-                        // Leave the assignment state consistent before
-                        // propagating budget exhaustion (or any engine error)
-                        // up through the recursion.
-                        restore(assignment, &snapshot);
-                        return Err(e);
-                    }
-                };
-                let better = match best {
-                    None => true,
-                    Some((_, _, best_mean)) => estimate.mean > best_mean,
-                };
-                if better {
-                    best = Some((var, value, estimate.mean));
+        let stats = &mut self.stats;
+        let mut best: Option<(Literal, f64)> = None;
+        let guidance = self.checker.literal_means_budgeted(
+            instance,
+            assignment,
+            meter,
+            &mut |lit, estimate| {
+                stats.coprocessor_checks += 1;
+                if best.is_none_or(|(_, best_mean)| estimate.mean > best_mean) {
+                    best = Some((lit, estimate.mean));
                 }
-            }
+            },
+        );
+        if let Err(e) = guidance {
+            // Leave the assignment state consistent before propagating budget
+            // exhaustion (or any engine error) up through the recursion.
+            restore(assignment, &snapshot);
+            return Err(e);
         }
         let (var, first_value, best_mean) = match best {
-            Some(b) => b,
+            Some((lit, mean)) => (lit.variable(), lit.phase(), mean),
             None => {
                 // No free variable left: the partial evaluation above was
                 // inconclusive only because of unconstrained variables.
@@ -249,9 +246,12 @@ pub fn compare_against_dpll<E: NblEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{Budget, ExhaustedResource};
+    use crate::engine::{batch_corpus, budget_corpus, PerCheck};
     use crate::symbolic::SymbolicEngine;
     use cnf::generators::{self, RandomKSatConfig};
     use sat_solvers::{BruteForceSolver, Solver};
+    use std::time::Duration;
 
     #[test]
     fn solves_paper_instances() {
@@ -356,8 +356,35 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_guidance_matches_per_check_guidance() {
+        for (label, formula) in batch_corpus() {
+            let mut batched = HybridSolver::with_ideal_coprocessor();
+            let mut per_check = HybridSolver::new(PerCheck(SymbolicEngine::new()));
+            let model = batched.solve(&formula).unwrap();
+            assert_eq!(model, per_check.solve(&formula).unwrap(), "{label}");
+            assert_eq!(batched.stats(), per_check.stats(), "{label}");
+            assert_eq!(
+                batched.total_coprocessor_checks(),
+                per_check.total_coprocessor_checks(),
+                "{label}"
+            );
+        }
+    }
+
+    /// Runs one budgeted solve and returns everything the budget can change.
+    fn budgeted_run<E: NblEngine>(
+        mut solver: HybridSolver<E>,
+        formula: &CnfFormula,
+        budget: &Budget,
+    ) -> (Result<Option<Assignment>>, HybridStats, u64, u64) {
+        let mut meter = BudgetMeter::start(budget);
+        let result = solver.solve_budgeted(formula, &mut meter);
+        let checks = solver.total_coprocessor_checks();
+        (result, solver.stats(), checks, meter.checks_used())
+    }
+
+    #[test]
     fn check_budget_interrupts_the_search() {
-        use crate::budget::{Budget, BudgetMeter, ExhaustedResource};
         let mut solver = HybridSolver::with_ideal_coprocessor();
         let f = generators::pigeonhole(4, 3);
         let mut meter = BudgetMeter::start(&Budget::unlimited().with_max_checks(5));
@@ -372,6 +399,65 @@ mod tests {
         assert_eq!(solver.stats().coprocessor_checks, 5);
         // The same solver still works with an unlimited budget afterwards.
         assert!(solver.solve(&generators::example6_sat()).unwrap().is_some());
+
+        // At every check allowance up to the unlimited run's count, the
+        // one-pass guidance stops where the per-check guidance stops.
+        for (label, formula) in budget_corpus() {
+            let unlimited = HybridSolver::with_ideal_coprocessor();
+            let (_, stats, _, _) = budgeted_run(unlimited, &formula, &Budget::unlimited());
+            assert!(stats.coprocessor_checks > 0, "{label}");
+            for k in 0..=stats.coprocessor_checks {
+                let budget = Budget::unlimited().with_max_checks(k);
+                let batched =
+                    budgeted_run(HybridSolver::with_ideal_coprocessor(), &formula, &budget);
+                let per_check = budgeted_run(
+                    HybridSolver::new(PerCheck(SymbolicEngine::new())),
+                    &formula,
+                    &budget,
+                );
+                assert_eq!(batched, per_check, "{label} with {k} checks");
+                assert_eq!(batched.0.is_err(), k < stats.coprocessor_checks, "{label}");
+            }
+            // An expired deadline still stops the search.
+            let expired = Budget::unlimited().with_wall_time(Duration::ZERO);
+            let (result, ..) =
+                budgeted_run(HybridSolver::with_ideal_coprocessor(), &formula, &expired);
+            assert_eq!(
+                result,
+                Err(NblSatError::BudgetExhausted {
+                    resource: ExhaustedResource::WallClock
+                }),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn free_variable_cap_matches_the_per_check_path() {
+        // The root of a formula without units has n free variables, and its
+        // checks n - 1: the pass runs at a cap of n - 1 and fails at n - 2
+        // with the first check's size.
+        for (label, formula) in budget_corpus() {
+            let n = formula.num_vars();
+            for cap in [n - 2, n - 1, n] {
+                let batched = HybridSolver::new(SymbolicEngine::new().with_max_free_vars(cap));
+                let per_check =
+                    HybridSolver::new(PerCheck(SymbolicEngine::new().with_max_free_vars(cap)));
+                let expected = budgeted_run(per_check, &formula, &Budget::unlimited());
+                assert_eq!(
+                    budgeted_run(batched, &formula, &Budget::unlimited()),
+                    expected,
+                    "{label} with a cap of {cap}"
+                );
+                if cap == n - 2 {
+                    assert!(
+                        matches!(expected.0, Err(NblSatError::InstanceTooLarge { actual, .. }) if actual == n - 1),
+                        "{label}: {:?}",
+                        expected.0
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub use checker::{SatChecker, Verdict};
 pub use config::EngineConfig;
 pub use convergence::{ConvergenceTrace, TracePoint};
 pub use counting::{CountResult, ModelCounter};
-pub use engine::{MeanEstimate, NblEngine};
+pub use engine::{MeanEstimate, NblEngine, StepAnswer};
 pub use error::{NblSatError, Result};
 pub use hybrid::{HybridSolver, HybridStats};
 pub use sampled::SampledEngine;

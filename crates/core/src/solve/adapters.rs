@@ -543,4 +543,63 @@ mod tests {
             Some(crate::budget::ExhaustedResource::CoprocessorChecks)
         );
     }
+
+    #[test]
+    fn symbolic_backends_stop_where_the_per_check_path_stops() {
+        use crate::engine::{budget_corpus, PerCheck};
+        fn run(
+            backend: &mut dyn SatBackend,
+            formula: &cnf::CnfFormula,
+            checks: Option<u64>,
+        ) -> SolveOutcome {
+            let budget = Budget {
+                max_checks: checks,
+                ..Budget::unlimited()
+            };
+            let request = SolveRequest::new(formula)
+                .artifacts(Artifacts::Model)
+                .budget(budget);
+            backend.solve(&request).unwrap()
+        }
+        let mut batched: [Box<dyn SatBackend>; 2] = [
+            Box::new(symbolic_backend()),
+            Box::new(HybridBackend::new("hybrid-symbolic", true, |_| {
+                HybridSolver::with_ideal_coprocessor()
+            })),
+        ];
+        let mut per_check: [Box<dyn SatBackend>; 2] = [
+            Box::new(NblCheckBackend::new("nbl-symbolic", true, |_| {
+                PerCheck(SymbolicEngine::new())
+            })),
+            Box::new(HybridBackend::new("hybrid-symbolic", true, |_| {
+                HybridSolver::new(PerCheck(SymbolicEngine::new()))
+            })),
+        ];
+        for (label, formula) in budget_corpus() {
+            for (batched, per_check) in batched.iter_mut().zip(&mut per_check) {
+                let label = format!("{label} on {}", batched.name());
+                let unlimited = run(batched.as_mut(), &formula, None);
+                assert!(unlimited.verdict.is_definitive(), "{label}");
+                for k in 0..=unlimited.stats.coprocessor_checks {
+                    let got = run(batched.as_mut(), &formula, Some(k));
+                    let expected = run(per_check.as_mut(), &formula, Some(k));
+                    assert_eq!(
+                        (
+                            got.verdict,
+                            got.exhausted,
+                            got.stats.coprocessor_checks,
+                            got.model
+                        ),
+                        (
+                            expected.verdict,
+                            expected.exhausted,
+                            expected.stats.coprocessor_checks,
+                            expected.model
+                        ),
+                        "{label} with {k} checks"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1,10 +1,10 @@
 //! The exact (infinite-sample) symbolic engine.
 
 use crate::budget::BudgetMeter;
-use crate::engine::{MeanEstimate, NblEngine};
+use crate::engine::{MeanEstimate, NblEngine, StepAnswer};
 use crate::error::{NblSatError, Result};
 use crate::transform::NblSatInstance;
-use cnf::{CnfFormula, Literal, PartialAssignment, Variable};
+use cnf::{Assignment, CnfFormula, Literal, PartialAssignment, Variable};
 use nbl_logic::MomentModel;
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -103,15 +103,31 @@ impl SymbolicEngine {
         bindings: &PartialAssignment,
         meter: Option<&BudgetMeter>,
     ) -> Result<(u64, f64)> {
+        self.ensure_countable(instance, bindings)?;
+        WeightedCounter::new(instance.formula(), bindings).count(meter)
+    }
+
+    /// Validates `bindings` and enforces the free-variable limit on a check
+    /// of their subspace.
+    fn ensure_countable(
+        &self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+    ) -> Result<()> {
         instance.validate_bindings(bindings)?;
         let free = instance.num_vars() - bindings.num_assigned();
         if free > self.max_free_vars {
-            return Err(NblSatError::InstanceTooLarge {
-                limit: format!("{} free variables", self.max_free_vars),
-                actual: free,
-            });
+            return Err(self.too_large(free));
         }
-        WeightedCounter::new(instance.formula(), bindings).count(meter)
+        Ok(())
+    }
+
+    /// The error of a check over `free` free variables, past the limit.
+    fn too_large(&self, free: usize) -> NblSatError {
+        NblSatError::InstanceTooLarge {
+            limit: format!("{} free variables", self.max_free_vars),
+            actual: free,
+        }
     }
 }
 
@@ -213,29 +229,81 @@ impl WeightedCounter {
         }
     }
 
-    /// Runs the search and returns the model count and the weighted count.
-    fn count(mut self, meter: Option<&BudgetMeter>) -> Result<(u64, f64)> {
-        let falsified = self
-            .true_lits
+    /// Whether the bindings alone leave a clause with no true and no
+    /// unassigned literal.
+    fn falsified(&self) -> bool {
+        self.true_lits
             .iter()
             .zip(&self.open_lits)
-            .any(|(&true_lits, &open_lits)| true_lits == 0 && open_lits == 0);
-        if !falsified {
+            .any(|(&true_lits, &open_lits)| true_lits == 0 && open_lits == 0)
+    }
+
+    /// Runs the search and returns the model count and the weighted count.
+    fn count(mut self, meter: Option<&BudgetMeter>) -> Result<(u64, f64)> {
+        if !self.falsified() {
             self.branch(0, meter)?;
         }
         let models = self.models << self.isolated;
         Ok((models, self.weight.doubled(self.isolated).to_f64()))
     }
 
-    /// Counts the models below a node whose first `depth` variables of the
-    /// branching order are set.
-    fn branch(&mut self, depth: usize, meter: Option<&BudgetMeter>) -> Result<()> {
+    /// The weighted count of every child subspace, from one search: entry
+    /// `lit.code()` is what [`WeightedCounter::count`] returns with the free
+    /// variable of `lit` also bound to make `lit` true. Entries of bound
+    /// variables carry no meaning.
+    ///
+    /// A separate count with `lit` bound branches in this search's order
+    /// minus `lit`'s variable, so it adds up the same model weights. While
+    /// they fit in `u128` the sums are the same integers, bit for bit. A
+    /// variable in no clause splits the models evenly, so each of its
+    /// literals gets the total over one isolated variable fewer.
+    fn literal_weights(mut self, meter: Option<&BudgetMeter>) -> Result<Vec<f64>> {
+        let mut marginal = vec![WeightSum::Exact(0); self.occ_start.len() - 1];
+        let total = if self.falsified() {
+            WeightSum::Exact(0)
+        } else {
+            self.branch_marginals(0, &mut marginal, meter)?
+        };
+        let isolated_weight = total.doubled(self.isolated.saturating_sub(1)).to_f64();
+        let mut weights = vec![isolated_weight; marginal.len()];
+        for &var in &self.order {
+            for lit in [var.positive(), var.negative()] {
+                weights[lit.code()] = marginal[lit.code()].doubled(self.isolated).to_f64();
+            }
+        }
+        Ok(weights)
+    }
+
+    /// Searches for one model in the bindings' subspace, entering each
+    /// variable by its true literal first, and stops at the first it
+    /// reaches. The model keeps the bindings and sets the free variables in
+    /// no clause to 1.
+    fn find_model(
+        mut self,
+        bindings: &PartialAssignment,
+        meter: Option<&BudgetMeter>,
+    ) -> Result<Option<Assignment>> {
+        let mut model = bindings.to_complete(true);
+        let found = !self.falsified() && self.branch_model(0, &mut model, meter)?;
+        Ok(found.then_some(model))
+    }
+
+    /// Polls the deadline every [`DEADLINE_POLL_NODES`] nodes, then counts
+    /// the node.
+    fn visit_node(&mut self, meter: Option<&BudgetMeter>) -> Result<()> {
         if let Some(meter) = meter {
             if self.nodes.is_multiple_of(DEADLINE_POLL_NODES) {
                 meter.ensure_time()?;
             }
         }
         self.nodes += 1;
+        Ok(())
+    }
+
+    /// Counts the models below a node whose first `depth` variables of the
+    /// branching order are set.
+    fn branch(&mut self, depth: usize, meter: Option<&BudgetMeter>) -> Result<()> {
+        self.visit_node(meter)?;
         let Some(&var) = self.order.get(depth) else {
             debug_assert_eq!(self.hist[0], 0, "a model with a falsified clause");
             self.models += 1;
@@ -252,6 +320,64 @@ impl WeightedCounter {
             searched?;
         }
         Ok(())
+    }
+
+    /// [`WeightedCounter::branch`] for [`WeightedCounter::literal_weights`]:
+    /// returns the weight below the node and adds each child's weight to
+    /// `marginal[code]` of the literal that entered it.
+    fn branch_marginals(
+        &mut self,
+        depth: usize,
+        marginal: &mut [WeightSum],
+        meter: Option<&BudgetMeter>,
+    ) -> Result<WeightSum> {
+        self.visit_node(meter)?;
+        let Some(&var) = self.order.get(depth) else {
+            debug_assert_eq!(self.hist[0], 0, "a model with a falsified clause");
+            return Ok(WeightSum::of_model(&self.hist));
+        };
+        let mut below = WeightSum::Exact(0);
+        for lit in [var.negative(), var.positive()] {
+            let searched = if self.assign(lit) {
+                self.branch_marginals(depth + 1, marginal, meter)
+            } else {
+                Ok(WeightSum::Exact(0))
+            };
+            self.undo(lit);
+            let weight = searched?;
+            marginal[lit.code()] = marginal[lit.code()].plus(weight);
+            below = below.plus(weight);
+        }
+        Ok(below)
+    }
+
+    /// [`WeightedCounter::branch`] for [`WeightedCounter::find_model`]: true
+    /// literal first, and back out at the first model, writing the path's
+    /// values into `model`.
+    fn branch_model(
+        &mut self,
+        depth: usize,
+        model: &mut Assignment,
+        meter: Option<&BudgetMeter>,
+    ) -> Result<bool> {
+        self.visit_node(meter)?;
+        let Some(&var) = self.order.get(depth) else {
+            debug_assert_eq!(self.hist[0], 0, "a model with a falsified clause");
+            return Ok(true);
+        };
+        for lit in [var.positive(), var.negative()] {
+            let searched = if self.assign(lit) {
+                self.branch_model(depth + 1, model, meter)
+            } else {
+                Ok(false)
+            };
+            self.undo(lit);
+            if searched? {
+                model.set(var, lit.phase());
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 
     /// Makes `lit` true: every clause containing it gains a true literal and
@@ -305,6 +431,21 @@ enum WeightSum {
 }
 
 impl WeightSum {
+    /// The weight `Π_t t^hist[t]` of one model.
+    fn of_model(hist: &[u32]) -> Self {
+        exact_weight(hist).map_or_else(|| WeightSum::Float(float_weight(hist)), WeightSum::Exact)
+    }
+
+    /// The sum of two weights, exact while it fits in `u128`.
+    fn plus(self, other: WeightSum) -> Self {
+        match (self, other) {
+            (WeightSum::Exact(a), WeightSum::Exact(b)) => a
+                .checked_add(b)
+                .map_or(WeightSum::Float(a as f64 + b as f64), WeightSum::Exact),
+            (a, b) => WeightSum::Float(a.to_f64() + b.to_f64()),
+        }
+    }
+
     /// Adds the weight `Π_t t^hist[t]` of one model.
     fn add(&mut self, hist: &[u32]) {
         *self = match *self {
@@ -373,6 +514,74 @@ impl NblEngine for SymbolicEngine {
         meter.ensure_time()?;
         let (_count, weighted) = self.count_models_impl(instance, bindings, Some(meter))?;
         Ok(MeanEstimate::exact(self.scaled_mean(instance, weighted)))
+    }
+
+    /// Every child's mean from one weighted-count pass over the node's
+    /// subspace, equal bit for bit to separate checks wherever their sums fit
+    /// in `u128`. The pass stands for checks over one free variable fewer, so
+    /// it runs while the node has at most `max_free_vars + 1` free variables;
+    /// past that it fails as the first separate check would.
+    fn literal_means(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        meter: &mut BudgetMeter,
+        visit: &mut dyn FnMut(Literal, MeanEstimate),
+    ) -> Result<()> {
+        let free: Vec<Variable> = (0..instance.num_vars())
+            .map(Variable::new)
+            .filter(|&var| bindings.value(var).is_none())
+            .collect();
+        if free.is_empty() {
+            return Ok(());
+        }
+        // The first check is charged before the pass, so an exhausted budget
+        // runs no search.
+        meter.charge_check()?;
+        meter.ensure_time()?;
+        instance.validate_bindings(bindings)?;
+        if free.len() > self.max_free_vars + 1 {
+            return Err(self.too_large(free.len() - 1));
+        }
+        let weights =
+            WeightedCounter::new(instance.formula(), bindings).literal_weights(Some(meter))?;
+        let children = free
+            .iter()
+            .flat_map(|&var| [var.positive(), var.negative()]);
+        for (k, lit) in children.enumerate() {
+            if k > 0 {
+                meter.charge_check()?;
+            }
+            let mean = self.scaled_mean(instance, weights[lit.code()]);
+            visit(lit, MeanEstimate::exact(mean));
+        }
+        Ok(())
+    }
+
+    /// Answers from `witness` when it lies inside the subspace, and otherwise
+    /// searches for one model there, which visits a subset of the nodes a
+    /// count of the subspace visits.
+    fn extraction_step(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        witness: Option<&Assignment>,
+        meter: &mut BudgetMeter,
+    ) -> Result<StepAnswer> {
+        meter.charge_check()?;
+        meter.ensure_time()?;
+        self.ensure_countable(instance, bindings)?;
+        let inside = |model: &&Assignment| {
+            bindings
+                .assigned()
+                .all(|(var, value)| model.get(var) == Some(value))
+        };
+        if let Some(model) = witness.filter(inside) {
+            return Ok(StepAnswer::Model(Some(model.clone())));
+        }
+        WeightedCounter::new(instance.formula(), bindings)
+            .find_model(bindings, Some(meter))
+            .map(StepAnswer::Model)
     }
 
     fn name(&self) -> &'static str {
@@ -634,10 +843,61 @@ mod tests {
         assert!(estimate.is_positive(3.0));
     }
 
+    /// The child means of one pass under `bindings`, in visiting order.
+    fn literal_means_of<E: NblEngine>(
+        engine: &mut E,
+        inst: &NblSatInstance,
+        bindings: &PartialAssignment,
+    ) -> Vec<(Literal, MeanEstimate)> {
+        let mut means = Vec::new();
+        let mut meter = BudgetMeter::default();
+        engine
+            .literal_means(inst, bindings, &mut meter, &mut |lit, estimate| {
+                means.push((lit, estimate))
+            })
+            .unwrap();
+        assert_eq!(meter.checks_used(), means.len() as u64);
+        means
+    }
+
+    /// Asserts that one pass gives every free variable's two child means in
+    /// the per-check order, each equal bit for bit to a separate check with
+    /// that literal bound.
+    fn assert_literal_means_match_separate_checks(
+        label: &str,
+        inst: &NblSatInstance,
+        bindings: &PartialAssignment,
+    ) {
+        let mut engine = SymbolicEngine::new();
+        let means = literal_means_of(&mut engine, inst, bindings);
+        let order: Vec<Literal> = (0..inst.num_vars())
+            .map(Variable::new)
+            .filter(|&var| bindings.value(var).is_none())
+            .flat_map(|var| [var.positive(), var.negative()])
+            .collect();
+        assert_eq!(
+            means.iter().map(|&(lit, _)| lit).collect::<Vec<_>>(),
+            order,
+            "{label} under {bindings:?}"
+        );
+        let mut child = bindings.clone();
+        for (lit, estimate) in means {
+            child.assign_literal(lit);
+            let separate = engine.estimate(inst, &child).unwrap();
+            child.unassign(lit.variable());
+            assert_eq!(
+                (estimate.mean.to_bits(), estimate),
+                (separate.mean.to_bits(), separate),
+                "{label} under {bindings:?}, child {lit}"
+            );
+        }
+    }
+
     /// Asserts that the counter returns the reference enumerator's model
     /// count and weighted count bit for bit, unbound and with one to three
-    /// variables bound each way. Which variables are bound, and to what,
-    /// varies with `case`.
+    /// variables bound each way, and that one pass's child means equal
+    /// separate checks under each of those bindings. Which variables are
+    /// bound, and to what, varies with `case`.
     fn assert_matches_reference(label: &str, formula: &cnf::CnfFormula, case: usize) {
         let inst = instance(formula);
         let engine = SymbolicEngine::new();
@@ -666,6 +926,7 @@ mod tests {
                 (expected.0, expected.1.to_bits()),
                 "{label} under {bindings:?}: {actual:?} vs the reference's {expected:?}"
             );
+            assert_literal_means_match_separate_checks(label, &inst, bindings);
         }
     }
 
@@ -760,6 +1021,49 @@ mod tests {
             .unwrap();
         assert_eq!(count, ref_count);
         assert!((weighted - ref_weighted).abs() <= ref_weighted * 1e-15);
+        // Past u128 the pass sums in another grouping, so its child means
+        // agree with separate checks only to rounding.
+        let mut engine = SymbolicEngine::new();
+        let bindings = inst.empty_bindings();
+        for (lit, estimate) in literal_means_of(&mut engine, &inst, &bindings) {
+            let mut child = bindings.clone();
+            child.assign_literal(lit);
+            let separate = engine.estimate(&inst, &child).unwrap().mean;
+            assert!(
+                (estimate.mean - separate).abs() <= separate * 1e-15,
+                "{lit}: {} vs {separate}",
+                estimate.mean
+            );
+        }
+    }
+
+    #[test]
+    fn a_witness_inside_the_subspace_answers_without_a_search() {
+        // Example 6: (x1 + x2)(¬x1 + ¬x2).
+        let inst = instance(&generators::example6_sat());
+        let mut engine = SymbolicEngine::new();
+        let mut meter = BudgetMeter::default();
+        let mut bindings = inst.empty_bindings();
+        bindings.assign(Variable::new(0), true);
+        let StepAnswer::Model(Some(model)) = engine
+            .extraction_step(&inst, &bindings, None, &mut meter)
+            .unwrap()
+        else {
+            panic!("x1 = 1 holds the model x1·¬x2");
+        };
+        assert_eq!(model.values(), [true, false]);
+        // The step reuses a witness inside its subspace.
+        assert_eq!(
+            engine.extraction_step(&inst, &bindings, Some(&model), &mut meter),
+            Ok(StepAnswer::Model(Some(model.clone())))
+        );
+        // Outside it, the step searches: x1 = x2 = 1 holds no model.
+        bindings.assign(Variable::new(1), true);
+        assert_eq!(
+            engine.extraction_step(&inst, &bindings, Some(&model), &mut meter),
+            Ok(StepAnswer::Model(None))
+        );
+        assert_eq!(meter.checks_used(), 3);
     }
 
     #[test]

@@ -129,8 +129,8 @@ pub use solve::{
     Artifacts, BackendLatency, BackendRegistry, CacheStats, CachedAnswer, CdclSessionBackend,
     ClassicalBackend, CounterRow, HybridBackend, IncrementalBackend, JobHandle, JobPriority,
     JobStatus, MetricsRegistry, MetricsSnapshot, NblCheckBackend, PipelineConfig, PipelineDecision,
-    PreparedRequest, SatBackend, ServiceBuilder, SessionCall, SessionHandle, SessionSolve,
-    SolveBatch, SolveOutcome, SolvePipeline, SolveRequest, SolveService, SolveSession, SolveStats,
+    PreparedRequest, SatBackend, ServiceBuilder, SessionCall, SessionHandle, SolveBatch,
+    SolveOutcome, SolvePipeline, SolveRequest, SolveService, SolveSession, SolveStats,
     SolveVerdict, UnknownCause, VerdictCache, DEFAULT_CACHE_CAPACITY, LATENCY_BUCKETS,
 };
 pub use symbolic::SymbolicEngine;

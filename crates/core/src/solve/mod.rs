@@ -69,7 +69,5 @@ pub use outcome::{CounterRow, SolveOutcome, SolveStats, SolveVerdict, UnknownCau
 pub use pipeline::{PipelineConfig, PipelineDecision, PreparedRequest, SolvePipeline};
 pub use registry::BackendRegistry;
 pub use request::{Artifacts, SolveRequest};
-pub use service::{
-    JobHandle, JobPriority, JobStatus, ServiceBuilder, SessionHandle, SessionSolve, SolveService,
-};
+pub use service::{JobHandle, JobPriority, JobStatus, ServiceBuilder, SessionHandle, SolveService};
 pub use session::{CdclSessionBackend, IncrementalBackend, SessionCall, SolveSession};

@@ -8,11 +8,11 @@
 //! epoch. [`SolveService`] is that front end: a persistent bounded pool of
 //! worker threads fed by a priority queue. [`SolveService::submit`] returns
 //! immediately with a [`JobHandle`] that supports non-blocking
-//! [`JobHandle::poll`], blocking [`JobHandle::wait`] and per-job
-//! [`JobHandle::cancel`]; every job is charged against one refillable
-//! [`SharedBudget`]; and the service winds down either gracefully
-//! ([`SolveService::shutdown`] drains the queue) or immediately
-//! ([`SolveService::abort`] cancels everything).
+//! [`JobHandle::poll`], blocking [`JobHandle::wait`], a completion hook
+//! ([`JobHandle::on_finish`]) and per-job [`JobHandle::cancel`]; every job
+//! is charged against one refillable [`SharedBudget`]; and the service
+//! winds down either gracefully ([`SolveService::shutdown`] drains the
+//! queue) or immediately ([`SolveService::abort`] cancels everything).
 //!
 //! # Scheduling
 //!
@@ -83,7 +83,7 @@ use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -113,14 +113,25 @@ pub enum JobStatus {
     Finished,
 }
 
-/// Internal lifecycle state of one job. The result is boxed so the common
-/// pre-completion states stay pointer-sized.
+/// Internal lifecycle state of one job. The result is shared so that the
+/// completion hook can read it after the job's lock is released.
 enum JobState {
     Queued,
     Running,
-    Finished(Box<Result<SolveOutcome>>),
+    Finished(Arc<Result<SolveOutcome>>),
     /// The result was moved out by [`JobHandle::wait`].
     Claimed,
+}
+
+/// A completion hook: runs once, with the result, on whichever thread
+/// finishes the job or session call.
+type Completion = Box<dyn FnOnce(&Result<SolveOutcome>) + Send>;
+
+/// What one job's lock guards.
+struct JobSlot {
+    state: JobState,
+    /// Registered by [`JobHandle::on_finish`] before the job finished.
+    hook: Option<Completion>,
 }
 
 /// The state one job shares between its handle, the queue entry and the
@@ -128,35 +139,44 @@ enum JobState {
 struct JobShared {
     id: u64,
     cancel: Arc<AtomicBool>,
-    state: Mutex<JobState>,
+    slot: Mutex<JobSlot>,
     finished: Condvar,
 }
 
-fn lock_state(shared: &JobShared) -> MutexGuard<'_, JobState> {
-    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock_slot(shared: &JobShared) -> MutexGuard<'_, JobSlot> {
+    shared.slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl JobShared {
-    /// Stores the result and wakes every waiter, unless the job already
-    /// finished (e.g. it was cancelled while queued). Returns whether this
-    /// call finished the job.
-    fn try_finish(&self, result: Result<SolveOutcome>) -> bool {
-        let mut state = lock_state(self);
-        if matches!(*state, JobState::Finished(_) | JobState::Claimed) {
-            return false;
+    /// Stores the result, wakes every waiter and runs the completion hook,
+    /// unless the job already finished (e.g. it was cancelled while queued).
+    fn try_finish(&self, result: Result<SolveOutcome>) {
+        let slot = lock_slot(self);
+        if !matches!(slot.state, JobState::Finished(_) | JobState::Claimed) {
+            self.finish(slot, result);
         }
-        *state = JobState::Finished(Box::new(result));
+    }
+
+    /// Finishes the job whose `slot` the caller locked. The hook runs after
+    /// the lock is released, so it may observe the job itself.
+    fn finish(&self, mut slot: MutexGuard<'_, JobSlot>, result: Result<SolveOutcome>) {
+        let result = Arc::new(result);
+        slot.state = JobState::Finished(Arc::clone(&result));
+        let hook = slot.hook.take();
+        drop(slot);
         self.finished.notify_all();
-        true
+        if let Some(hook) = hook {
+            hook(&result);
+        }
     }
 
     /// A worker claims the job for execution. Answers `false` when the job
     /// was already finished (cancelled while still queued), in which case the
     /// worker skips it.
     fn begin_running(&self) -> bool {
-        let mut state = lock_state(self);
-        if matches!(*state, JobState::Queued) {
-            *state = JobState::Running;
+        let mut slot = lock_slot(self);
+        if matches!(slot.state, JobState::Queued) {
+            slot.state = JobState::Running;
             true
         } else {
             false
@@ -174,9 +194,10 @@ fn cancelled_outcome() -> SolveOutcome {
 ///
 /// The handle is the only way to observe the job: [`JobHandle::status`] and
 /// [`JobHandle::poll`] never block, [`JobHandle::wait`] blocks until the
-/// outcome lands, and [`JobHandle::cancel`] stops the job — immediately if it
-/// is still queued, within one solver poll interval if it is already running.
-/// Dropping the handle does not cancel the job.
+/// outcome lands, [`JobHandle::on_finish`] hands the outcome to a hook
+/// without any thread waiting for it, and [`JobHandle::cancel`] stops the
+/// job — immediately if it is still queued, within one solver poll interval
+/// if it is already running. Dropping the handle does not cancel the job.
 pub struct JobHandle {
     backend: String,
     priority: JobPriority,
@@ -213,7 +234,7 @@ impl JobHandle {
 
     /// Where the job currently is in its lifecycle. Never blocks.
     pub fn status(&self) -> JobStatus {
-        match *lock_state(&self.shared) {
+        match lock_slot(&self.shared).state {
             JobState::Queued => JobStatus::Queued,
             JobState::Running => JobStatus::Running,
             JobState::Finished(_) | JobState::Claimed => JobStatus::Finished,
@@ -223,49 +244,46 @@ impl JobHandle {
     /// Non-blocking check for the outcome: `None` while the job is queued or
     /// running, `Some` (a clone of the outcome) once it finished.
     pub fn poll(&self) -> Option<Result<SolveOutcome>> {
-        match &*lock_state(&self.shared) {
+        match &lock_slot(&self.shared).state {
             JobState::Finished(result) => Some(result.as_ref().clone()),
             _ => None,
         }
     }
 
-    /// Blocks until the job finishes and returns a clone of its outcome,
-    /// leaving the handle usable. This is the sharing-friendly sibling of
-    /// [`JobHandle::wait`]: a front end that must observe one job from
-    /// several threads (the wire server's per-job waiter thread next to its
-    /// `STATUS`/`CANCEL` dispatch) holds the handle in an `Arc` and waits by
-    /// reference.
-    pub fn wait_ref(&self) -> Result<SolveOutcome> {
-        let mut state = lock_state(&self.shared);
-        loop {
-            match &*state {
-                JobState::Finished(result) => return result.as_ref().clone(),
-                // The owned result was already moved out by `wait`; answer
-                // like a finished-and-claimed cancellation rather than hang.
-                JobState::Claimed => return Ok(cancelled_outcome()),
-                JobState::Queued | JobState::Running => {
-                    state = self
-                        .shared
-                        .finished
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+    /// Registers the job's completion hook, which runs exactly once, with the
+    /// job's result, after the job's lock is released. It runs on whichever
+    /// thread finishes the job: the worker that ran it, the thread that
+    /// cancels it while queued, or [`SolveService::abort`] for a queued job.
+    /// When the job has already finished (a submission after shutdown
+    /// included), it runs on this thread before `on_finish` returns. A job
+    /// keeps one hook: registering another before the first ran replaces it.
+    pub fn on_finish(&self, hook: impl FnOnce(&Result<SolveOutcome>) + Send + 'static) {
+        let mut slot = lock_slot(&self.shared);
+        let result = match &slot.state {
+            JobState::Finished(result) => Arc::clone(result),
+            // Only `wait` claims the result, and it consumes the handle.
+            JobState::Claimed => Arc::new(Ok(cancelled_outcome())),
+            JobState::Queued | JobState::Running => {
+                slot.hook = Some(Box::new(hook));
+                return;
             }
-        }
+        };
+        drop(slot);
+        hook(&result);
     }
 
     /// Blocks until the job finishes and returns its outcome.
     pub fn wait(self) -> Result<SolveOutcome> {
-        let mut state = lock_state(&self.shared);
+        let mut slot = lock_slot(&self.shared);
         loop {
-            match &*state {
+            match &slot.state {
                 JobState::Finished(_) => {
                     let JobState::Finished(result) =
-                        std::mem::replace(&mut *state, JobState::Claimed)
+                        std::mem::replace(&mut slot.state, JobState::Claimed)
                     else {
                         unreachable!("matched Finished above");
                     };
-                    return *result;
+                    return Arc::unwrap_or_clone(result);
                 }
                 JobState::Claimed => {
                     // `wait` consumes the only handle, so the result can only
@@ -274,10 +292,10 @@ impl JobHandle {
                     return Ok(cancelled_outcome());
                 }
                 JobState::Queued | JobState::Running => {
-                    state = self
+                    slot = self
                         .shared
                         .finished
-                        .wait(state)
+                        .wait(slot)
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             }
@@ -291,10 +309,9 @@ impl JobHandle {
     /// a no-op.
     pub fn cancel(&self) {
         self.shared.cancel.store(true, Ordering::Relaxed);
-        let mut state = lock_state(&self.shared);
-        if matches!(*state, JobState::Queued) {
-            *state = JobState::Finished(Box::new(Ok(cancelled_outcome())));
-            self.shared.finished.notify_all();
+        let slot = lock_slot(&self.shared);
+        if matches!(slot.state, JobState::Queued) {
+            self.shared.finish(slot, Ok(cancelled_outcome()));
         }
     }
 }
@@ -406,80 +423,116 @@ fn worker_loop(inner: &ServiceInner) {
     }
 }
 
-/// Runs one claimed job: starve it if the pool is spent, answer immediately
-/// if it is already cancelled, otherwise solve it under the pool's current
-/// slice (with the per-job and service-wide cancellation tokens chained onto
-/// the request) and charge the actual spend back. Panics are caught here so
-/// a faulty backend costs one job, not a worker thread.
-fn run_job(inner: &ServiceInner, job: &QueuedJob) -> Result<SolveOutcome> {
-    if inner.abort.load(Ordering::Relaxed)
-        || job.shared.cancel.load(Ordering::Relaxed)
-        || job
-            .caller_cancels
-            .iter()
-            .any(|flag| flag.load(Ordering::Relaxed))
-    {
-        return Ok(cancelled_outcome());
+/// The steps every queued job and session call share, so the service meters
+/// both alike. A cancelled run, and every run once the service aborts,
+/// answers `Unknown(Cancelled)`; a spent pool answers
+/// `Unknown(BudgetExhausted)`; neither runs anything. Otherwise `solve` runs
+/// under the pool's slice of `requested`, and the spend of its outcome is
+/// charged back to the pool. A panic is caught as `backend`'s
+/// [`NblSatError::BackendPanicked`], so a faulty backend costs one run, not
+/// a thread; the flag reports it.
+fn metered(
+    inner: &ServiceInner,
+    cancelled: bool,
+    requested: &Budget,
+    backend: &str,
+    solve: impl FnOnce(Budget) -> Result<SolveOutcome>,
+) -> (Result<SolveOutcome>, bool) {
+    if cancelled || inner.abort.load(Ordering::Relaxed) {
+        return (Ok(cancelled_outcome()), false);
     }
     if let Some(resource) = inner.pool.exhausted() {
         let mut outcome = SolveOutcome::of_verdict(SolveVerdict::Unknown(
             UnknownCause::BudgetExhausted(resource),
         ));
         outcome.exhausted = Some(resource);
-        return Ok(outcome);
+        return (Ok(outcome), false);
     }
-    let slice = inner.pool.slice(&job.budget);
-    let mut request = SolveRequest::new(&job.formula)
-        .artifacts(job.artifacts)
-        .seed(job.seed)
-        .budget(slice)
-        .trace(job.trace)
-        .cancel_token(Arc::clone(&job.shared.cancel))
-        .cancel_token(Arc::clone(&inner.abort));
-    for token in &job.caller_cancels {
-        request = request.cancel_token(Arc::clone(token));
-    }
-    let prepared = match inner.pipeline.prepare(&request) {
-        // Preprocessing or the cache answered: no backend runs, nothing is
-        // charged (the pipeline spent no metered resource).
-        PipelineDecision::Resolved(outcome) => return Ok(outcome),
-        PipelineDecision::Dispatch(prepared) => prepared,
-    };
-    let started = Instant::now();
-    let solved = catch_unwind(AssertUnwindSafe(|| {
-        let dispatch = prepared.request(&request);
-        let mut engine = inner.registry.create(&job.backend)?;
-        Ok((engine.solve(&dispatch)?, engine.is_complete()))
-    }));
-    match solved {
-        Ok(Ok((outcome, complete))) => {
+    let slice = inner.pool.slice(requested);
+    match catch_unwind(AssertUnwindSafe(|| solve(slice))) {
+        Ok(Ok(outcome)) => {
             inner
                 .pool
                 .charge(outcome.stats.samples, outcome.stats.coprocessor_checks);
-            Ok(inner.pipeline.complete_with(
-                prepared,
-                outcome,
-                &job.backend,
-                complete,
-                started.elapsed(),
-            ))
+            (Ok(outcome), false)
         }
-        Ok(Err(error)) => Err(error),
-        Err(payload) => Err(NblSatError::BackendPanicked {
-            backend: job.backend.clone(),
-            message: panic_message(payload.as_ref()),
-        }),
+        Ok(Err(error)) => (Err(error), false),
+        Err(payload) => (
+            Err(NblSatError::BackendPanicked {
+                backend: backend.to_string(),
+                message: panic_message(payload.as_ref()),
+            }),
+            true,
+        ),
     }
 }
 
+/// Runs one claimed job, with the per-job and service-wide cancellation
+/// tokens chained onto the request.
+fn run_job(inner: &ServiceInner, job: &QueuedJob) -> Result<SolveOutcome> {
+    let cancelled = job.shared.cancel.load(Ordering::Relaxed)
+        || job
+            .caller_cancels
+            .iter()
+            .any(|flag| flag.load(Ordering::Relaxed));
+    let (result, _) = metered(inner, cancelled, &job.budget, &job.backend, |slice| {
+        let mut request = SolveRequest::new(&job.formula)
+            .artifacts(job.artifacts)
+            .seed(job.seed)
+            .budget(slice)
+            .trace(job.trace)
+            .cancel_token(Arc::clone(&job.shared.cancel))
+            .cancel_token(Arc::clone(&inner.abort));
+        for token in &job.caller_cancels {
+            request = request.cancel_token(Arc::clone(token));
+        }
+        let prepared = match inner.pipeline.prepare(&request) {
+            // Preprocessing or the cache answered: no backend runs, nothing
+            // is charged (the pipeline spent no metered resource).
+            PipelineDecision::Resolved(outcome) => return Ok(outcome),
+            PipelineDecision::Dispatch(prepared) => prepared,
+        };
+        let started = Instant::now();
+        let dispatch = prepared.request(&request);
+        let mut engine = inner.registry.create(&job.backend)?;
+        let outcome = engine.solve(&dispatch)?;
+        Ok(inner.pipeline.complete_with(
+            prepared,
+            outcome,
+            &job.backend,
+            engine.is_complete(),
+            started.elapsed(),
+        ))
+    });
+    result
+}
+
 /// One operation travelling from a [`SessionHandle`] to its pinned session
-/// thread; each carries a one-shot reply channel.
+/// thread; each carries its way back to the caller.
 enum SessionOp {
     Push(CnfFormula, Sender<usize>),
     Pop(Sender<bool>),
     Depth(Sender<usize>),
-    Solve(Box<SessionCall>, Sender<Result<SolveOutcome>>),
+    Solve(Box<SessionCall>, SessionReply),
     Close,
+}
+
+/// A session solve's completion hook. Dropped before it ran, because the
+/// session ended before answering, it runs with
+/// [`NblSatError::SessionClosed`].
+struct SessionReply {
+    hook: Option<Completion>,
+    shared: Arc<SessionShared>,
+}
+
+impl Drop for SessionReply {
+    fn drop(&mut self) {
+        if let Some(hook) = self.hook.take() {
+            hook(&Err(NblSatError::SessionClosed {
+                reason: self.shared.close_reason(),
+            }));
+        }
+    }
 }
 
 /// State shared between a session handle and its thread: why the thread
@@ -537,9 +590,11 @@ fn session_loop(
             SessionOp::Depth(reply) => {
                 let _ = reply.send(session.depth());
             }
-            SessionOp::Solve(call, reply) => {
+            SessionOp::Solve(call, mut reply) => {
                 let (result, panicked) = run_session_call(inner, &mut session, &call);
-                let _ = reply.send(result);
+                if let Some(hook) = reply.hook.take() {
+                    hook(&result);
+                }
                 if panicked {
                     // A panicking backend may have left the solver's internal
                     // state inconsistent; the session dies with the call.
@@ -552,59 +607,42 @@ fn session_loop(
     shared.mark_closed(reason);
 }
 
-/// Runs one session solve under the service's resource authority: answer
-/// immediately when the service is aborting or the pool is spent, otherwise
-/// solve under the pool's current slice (with the service-wide abort token
-/// chained onto the call) and charge the actual spend back. The second
-/// element reports whether the backend panicked.
+/// Runs one session solve under the pool's slice, with the service-wide
+/// abort token chained onto the call. The flag reports whether the backend
+/// panicked.
 fn run_session_call(
     inner: &ServiceInner,
     session: &mut SolveSession,
     call: &SessionCall,
 ) -> (Result<SolveOutcome>, bool) {
-    if inner.abort.load(Ordering::Relaxed) || call.cancelled() {
-        return (Ok(cancelled_outcome()), false);
-    }
-    if let Some(resource) = inner.pool.exhausted() {
-        let mut outcome = SolveOutcome::of_verdict(SolveVerdict::Unknown(
-            UnknownCause::BudgetExhausted(resource),
-        ));
-        outcome.exhausted = Some(resource);
-        return (Ok(outcome), false);
-    }
-    let slice = inner.pool.slice(call.requested_budget());
-    let metered = call
-        .clone()
-        .budget(slice)
-        .cancel_token(Arc::clone(&inner.abort));
-    let solved = catch_unwind(AssertUnwindSafe(|| session.solve(&metered)));
-    match solved {
-        Ok(Ok(outcome)) => {
-            inner
-                .pool
-                .charge(outcome.stats.samples, outcome.stats.coprocessor_checks);
-            (Ok(outcome), false)
-        }
-        Ok(Err(error)) => (Err(error), false),
-        Err(payload) => (
-            Err(NblSatError::BackendPanicked {
-                backend: session.backend_name().to_string(),
-                message: panic_message(payload.as_ref()),
-            }),
-            true,
-        ),
-    }
+    let backend = session.backend_name();
+    metered(
+        inner,
+        call.cancelled(),
+        call.requested_budget(),
+        backend,
+        |slice| {
+            session.solve(
+                &call
+                    .clone()
+                    .budget(slice)
+                    .cancel_token(Arc::clone(&inner.abort)),
+            )
+        },
+    )
 }
 
 /// A handle on one pinned incremental solving session, obtained from
 /// [`SolveService::open_session`].
 ///
 /// Operations are serviced in submission order by the session's dedicated
-/// thread; [`SessionHandle::solve`] blocks until the call's outcome lands
-/// (chain a cancellation token onto the [`SessionCall`] to interrupt it from
-/// another thread). Once the session ends — [`SessionHandle::close`], idle
-/// eviction, a backend panic, or dropping the handle — every further
-/// operation answers [`NblSatError::SessionClosed`] with the reason.
+/// thread. [`SessionHandle::solve`] blocks until the call's outcome lands;
+/// [`SessionHandle::start_solve`] hands it to a completion hook instead, so
+/// no thread waits for it. Chain a cancellation token onto the
+/// [`SessionCall`] to interrupt a solve from another thread. Once the
+/// session ends — [`SessionHandle::close`], idle eviction, a backend panic,
+/// or dropping the handle — every further operation answers
+/// [`NblSatError::SessionClosed`] with the reason.
 pub struct SessionHandle {
     backend: String,
     ops: Sender<SessionOp>,
@@ -687,26 +725,39 @@ impl SessionHandle {
     /// [`NblSatError::BackendPanicked`] when the solver panicked (which also
     /// closes the session).
     pub fn solve(&self, call: &SessionCall) -> Result<SolveOutcome> {
-        self.start_solve(call)?.wait()
+        let (tx, rx) = mpsc::channel();
+        self.start_solve(call, move |result| {
+            let _ = tx.send(result.clone());
+        })?;
+        rx.recv().map_err(|_| self.closed_error())?
     }
 
-    /// Enqueues a solve without blocking on it: the returned
-    /// [`SessionSolve`] ticket is redeemed with [`SessionSolve::wait`]
-    /// (possibly on another thread). Operations sent after this one queue
+    /// Enqueues a solve without blocking on it. `on_finish` runs exactly
+    /// once, on the session thread, with what [`SessionHandle::solve`] would
+    /// have returned: the outcome, or [`NblSatError::SessionClosed`] when the
+    /// session ends before answering. Operations sent after this one queue
     /// behind the solve in submission order.
     ///
     /// # Errors
     ///
-    /// [`NblSatError::SessionClosed`] once the session ended.
-    pub fn start_solve(&self, call: &SessionCall) -> Result<SessionSolve> {
-        let (tx, rx) = mpsc::channel();
-        self.ops
-            .send(SessionOp::Solve(Box::new(call.clone()), tx))
-            .map_err(|_| self.closed_error())?;
-        Ok(SessionSolve {
-            reply: rx,
+    /// [`NblSatError::SessionClosed`] when the session had already ended;
+    /// `on_finish` then never runs.
+    pub fn start_solve(
+        &self,
+        call: &SessionCall,
+        on_finish: impl FnOnce(&Result<SolveOutcome>) + Send + 'static,
+    ) -> Result<()> {
+        let reply = SessionReply {
+            hook: Some(Box::new(on_finish)),
             shared: Arc::clone(&self.shared),
-        })
+        };
+        let op = SessionOp::Solve(Box::new(call.clone()), reply);
+        if let Err(SendError(SessionOp::Solve(_, mut reply))) = self.ops.send(op) {
+            // Refused: the caller hears it here, so the hook must not.
+            reply.hook = None;
+            return Err(self.closed_error());
+        }
+        Ok(())
     }
 
     /// Closes the session gracefully and joins its thread. Dropping the
@@ -717,34 +768,6 @@ impl SessionHandle {
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
-    }
-}
-
-/// A pending session solve started with [`SessionHandle::start_solve`];
-/// redeem it with [`SessionSolve::wait`].
-pub struct SessionSolve {
-    reply: Receiver<Result<SolveOutcome>>,
-    shared: Arc<SessionShared>,
-}
-
-impl fmt::Debug for SessionSolve {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SessionSolve").finish_non_exhaustive()
-    }
-}
-
-impl SessionSolve {
-    /// Blocks until the solve's outcome lands.
-    ///
-    /// # Errors
-    ///
-    /// [`NblSatError::SessionClosed`] when the session died before answering
-    /// (eviction racing the solve, or the service tearing down); otherwise
-    /// exactly what [`SessionHandle::solve`] would have returned.
-    pub fn wait(self) -> Result<SolveOutcome> {
-        self.reply.recv().map_err(|_| NblSatError::SessionClosed {
-            reason: self.shared.close_reason(),
-        })?
     }
 }
 
@@ -935,7 +958,10 @@ impl SolveService {
         let shared = Arc::new(JobShared {
             id,
             cancel: Arc::new(AtomicBool::new(false)),
-            state: Mutex::new(JobState::Queued),
+            slot: Mutex::new(JobSlot {
+                state: JobState::Queued,
+                hook: None,
+            }),
             finished: Condvar::new(),
         });
         let handle = JobHandle {
@@ -1012,7 +1038,7 @@ impl SolveService {
         lock_queue(&self.inner)
             .heap
             .iter()
-            .filter(|job| matches!(*lock_state(&job.shared), JobState::Queued))
+            .filter(|job| matches!(lock_slot(&job.shared).state, JobState::Queued))
             .count()
     }
 
@@ -1022,7 +1048,7 @@ impl SolveService {
     pub fn pending_by_priority(&self) -> [usize; 3] {
         let mut backlog = [0usize; 3];
         for job in lock_queue(&self.inner).heap.iter() {
-            if matches!(*lock_state(&job.shared), JobState::Queued) {
+            if matches!(lock_slot(&job.shared).state, JobState::Queued) {
                 match job.priority {
                     JobPriority::High => backlog[0] += 1,
                     JobPriority::Normal => backlog[1] += 1,
@@ -1090,19 +1116,21 @@ impl SolveService {
     }
 
     fn stop(&self, abort: bool) {
+        let mut drained = Vec::new();
         {
             let mut queue = lock_queue(&self.inner);
             queue.closed = true;
             if abort {
                 self.inner.abort.store(true, Ordering::Relaxed);
-                // Queued jobs are answered directly instead of waiting for a
-                // worker to pop and discard them.
-                for job in queue.heap.drain() {
-                    job.shared.try_finish(Ok(cancelled_outcome()));
-                }
+                drained.extend(queue.heap.drain());
             }
         }
         self.inner.work_ready.notify_all();
+        // Queued jobs are answered directly instead of waiting for a worker
+        // to pop and discard them; their hooks run outside the queue's lock.
+        for job in drained {
+            job.shared.try_finish(Ok(cancelled_outcome()));
+        }
         let workers: Vec<JoinHandle<()>> = self
             .workers
             .lock()
@@ -1173,27 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_ref_blocks_leaves_the_handle_usable_and_repeats() {
-        let service = service(2);
-        let sat = generators::example6_sat();
-        let handle = Arc::new(service.submit("cdcl", &SolveRequest::new(&sat)));
-        // Several threads can block on one shared handle concurrently.
-        thread::scope(|scope| {
-            for _ in 0..3 {
-                let handle = Arc::clone(&handle);
-                scope.spawn(move || {
-                    assert!(handle.wait_ref().unwrap().verdict.is_sat());
-                });
-            }
-        });
-        // The handle is still fully usable afterwards.
-        assert_eq!(handle.status(), JobStatus::Finished);
-        assert!(handle.wait_ref().unwrap().verdict.is_sat());
-        assert!(handle.poll().unwrap().unwrap().verdict.is_sat());
-        service.shutdown();
-    }
-
-    #[test]
     fn unknown_backend_is_a_per_job_error() {
         let service = service(1);
         let f = generators::example6_sat();
@@ -1226,8 +1233,8 @@ mod tests {
     }
 
     /// A backend that records the seed of every request it answers, and
-    /// optionally blocks on a gate first — enough to freeze the single worker
-    /// while a test arranges the queue behind it.
+    /// optionally blocks on a gate first (until cancelled) — enough to freeze
+    /// the single worker while a test arranges the queue behind it.
     #[derive(Debug)]
     struct Recorder {
         log: Arc<Mutex<Vec<u64>>>,
@@ -1244,6 +1251,9 @@ mod tests {
         fn solve(&mut self, request: &SolveRequest<'_>) -> Result<SolveOutcome> {
             if let Some(gate) = &self.gate {
                 while !gate.load(Ordering::Relaxed) {
+                    if request.cancelled() {
+                        return Ok(cancelled_outcome());
+                    }
                     thread::yield_now();
                 }
             }
@@ -1581,5 +1591,240 @@ mod tests {
         let revived = service.submit("cdcl", &SolveRequest::new(&f));
         assert!(revived.wait().unwrap().verdict.is_sat());
         service.shutdown();
+    }
+
+    /// The thread that ran a hook, and the result it got.
+    type HookRun = (thread::ThreadId, Result<SolveOutcome>);
+
+    /// A completion hook that counts its runs and remembers the last one.
+    #[derive(Clone, Default)]
+    struct HookLog {
+        runs: Arc<AtomicU64>,
+        last: Arc<Mutex<Option<HookRun>>>,
+    }
+
+    impl HookLog {
+        fn hook(&self) -> impl FnOnce(&Result<SolveOutcome>) + Send + 'static {
+            let log = self.clone();
+            move |result| {
+                *log.last.lock().unwrap() = Some((thread::current().id(), result.clone()));
+                log.runs.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        fn runs(&self) -> u64 {
+            self.runs.load(Ordering::SeqCst)
+        }
+
+        /// Waits until the hook ran, then answers its thread and result.
+        fn ran(&self) -> HookRun {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while self.runs() == 0 {
+                assert!(Instant::now() < deadline, "the hook never ran");
+                thread::yield_now();
+            }
+            self.last.lock().unwrap().clone().unwrap()
+        }
+    }
+
+    #[test]
+    fn on_finish_runs_once_on_the_worker_outside_the_job_lock() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let gate = Arc::new(AtomicBool::new(false));
+        let service = SolveService::builder(&recording_registry(&log, &gate))
+            .workers(1)
+            .start();
+        let f = generators::example6_sat();
+        let job = Arc::new(service.submit("gated-recorder", &SolveRequest::new(&f)));
+        while job.status() != JobStatus::Running {
+            thread::yield_now();
+        }
+        let hook = HookLog::default();
+        let observed = Arc::new(Mutex::new(None));
+        {
+            let (observer, observed, hook) = (Arc::clone(&job), Arc::clone(&observed), hook.hook());
+            // The hook reads its own job, which would deadlock under the
+            // job's lock.
+            job.on_finish(move |result| {
+                *observed.lock().unwrap() = Some(observer.status());
+                hook(result);
+            });
+        }
+        assert_eq!(hook.runs(), 0, "the hook ran before the job finished");
+        gate.store(true, Ordering::Relaxed);
+        let (thread, result) = hook.ran();
+        assert_ne!(thread, thread::current().id(), "not run by the worker");
+        assert!(result.unwrap().verdict.is_sat());
+        assert_eq!(*observed.lock().unwrap(), Some(JobStatus::Finished));
+        // The handle still answers after the hook ran.
+        assert!(job.poll().unwrap().unwrap().verdict.is_sat());
+        service.shutdown();
+        assert_eq!(hook.runs(), 1);
+    }
+
+    #[test]
+    fn on_finish_runs_once_on_every_other_finishing_path() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let gate = Arc::new(AtomicBool::new(false));
+        let service = SolveService::builder(&recording_registry(&log, &gate))
+            .workers(1)
+            .start();
+        let f = generators::example6_sat();
+        let here = thread::current().id();
+
+        // Registered after the job finished: this thread runs it at once.
+        let done = service.submit("recorder", &SolveRequest::new(&f));
+        while done.status() != JobStatus::Finished {
+            thread::yield_now();
+        }
+        let finished = HookLog::default();
+        done.on_finish(finished.hook());
+        assert_eq!(finished.runs(), 1);
+        assert_eq!(finished.ran().0, here);
+
+        // Freeze the worker, then queue two jobs behind it.
+        let blocker = service.submit("gated-recorder", &SolveRequest::new(&f));
+        while blocker.status() != JobStatus::Running {
+            thread::yield_now();
+        }
+        let cancelled = service.submit("recorder", &SolveRequest::new(&f));
+        let drained = service.submit("recorder", &SolveRequest::new(&f));
+        let (on_cancel, on_abort, on_blocker) =
+            (HookLog::default(), HookLog::default(), HookLog::default());
+        cancelled.on_finish(on_cancel.hook());
+        drained.on_finish(on_abort.hook());
+        blocker.on_finish(on_blocker.hook());
+
+        // Cancelling a queued job: the cancelling thread runs it.
+        cancelled.cancel();
+        assert_eq!(on_cancel.runs(), 1);
+        let (thread, result) = on_cancel.ran();
+        assert_eq!(thread, here);
+        assert!(result.unwrap().verdict.is_cancelled());
+
+        // Abort's drain: the aborting thread runs the queued job's hook; the
+        // worker runs the interrupted job's.
+        service.abort();
+        assert_eq!(on_abort.runs(), 1);
+        let (thread, result) = on_abort.ran();
+        assert_eq!(thread, here);
+        assert!(result.unwrap().verdict.is_cancelled());
+        let (thread, result) = on_blocker.ran();
+        assert_ne!(thread, here);
+        assert!(result.unwrap().verdict.is_cancelled());
+
+        // A submission after shutdown finished at submit: the registering
+        // thread runs it.
+        let late = service.submit("recorder", &SolveRequest::new(&f));
+        let stopped = HookLog::default();
+        late.on_finish(stopped.hook());
+        let (thread, result) = stopped.ran();
+        assert_eq!(thread, here);
+        assert!(matches!(result, Err(NblSatError::ServiceStopped)));
+
+        for hook in [finished, on_cancel, on_abort, on_blocker, stopped] {
+            assert_eq!(hook.runs(), 1);
+        }
+        // Neither the cancelled nor the drained job reached the backend.
+        assert_eq!(log.lock().unwrap().len(), 1);
+    }
+
+    /// An incremental backend that waits for a gate, then panics.
+    #[derive(Debug)]
+    struct PanicsAfterGate {
+        gate: Arc<AtomicBool>,
+    }
+
+    impl crate::solve::session::IncrementalBackend for PanicsAfterGate {
+        fn name(&self) -> &'static str {
+            "panics-after-gate"
+        }
+        fn push(&mut self, _formula: &CnfFormula) -> usize {
+            1
+        }
+        fn pop(&mut self) -> bool {
+            false
+        }
+        fn depth(&self) -> usize {
+            0
+        }
+        fn num_vars(&self) -> usize {
+            0
+        }
+        fn solve(&mut self, _call: &SessionCall) -> Result<SolveOutcome> {
+            while !self.gate.load(Ordering::Relaxed) {
+                thread::yield_now();
+            }
+            panic!("gate opened");
+        }
+    }
+
+    #[test]
+    fn start_solve_runs_the_hook_once_on_every_session_path() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let mut registry = BackendRegistry::default();
+        {
+            let gate = Arc::clone(&gate);
+            registry.register_session("panics-after-gate", move || {
+                Box::new(PanicsAfterGate {
+                    gate: Arc::clone(&gate),
+                })
+            });
+        }
+        let service = SolveService::builder(&registry).workers(1).start();
+        let here = thread::current().id();
+
+        // The session thread answers a call.
+        let session = service.open_session("cdcl").expect("open session");
+        session.push(&generators::example6_sat()).unwrap();
+        let answered = HookLog::default();
+        session
+            .start_solve(&SessionCall::new(), answered.hook())
+            .unwrap();
+        let (thread, result) = answered.ran();
+        assert_ne!(thread, here);
+        assert!(result.unwrap().verdict.is_sat());
+        session.close();
+
+        // The first call panics, which ends the session with the second call
+        // still queued: the second hears why.
+        let session = service
+            .open_session("panics-after-gate")
+            .expect("open session");
+        let (panicked, unanswered) = (HookLog::default(), HookLog::default());
+        session
+            .start_solve(&SessionCall::new(), panicked.hook())
+            .unwrap();
+        session
+            .start_solve(&SessionCall::new(), unanswered.hook())
+            .unwrap();
+        gate.store(true, Ordering::Relaxed);
+        assert!(matches!(
+            panicked.ran().1,
+            Err(NblSatError::BackendPanicked { .. })
+        ));
+        let (thread, result) = unanswered.ran();
+        assert_ne!(thread, here);
+        assert!(
+            matches!(&result, Err(NblSatError::SessionClosed { reason }) if reason.contains("panicked")),
+            "unexpected {result:?}"
+        );
+
+        // A call on the ended session is refused, and its hook never runs.
+        let refused = HookLog::default();
+        assert!(matches!(
+            session.start_solve(&SessionCall::new(), refused.hook()),
+            Err(NblSatError::SessionClosed { .. })
+        ));
+        service.shutdown();
+        assert_eq!(
+            [
+                answered.runs(),
+                panicked.runs(),
+                unanswered.runs(),
+                refused.runs()
+            ],
+            [1, 1, 1, 0]
+        );
     }
 }

@@ -12,9 +12,10 @@
 //!   `CANCEL`/`STATUS`/`REFILL`/`METRICS`/`SHUTDOWN` control verbs mapping
 //!   1:1 onto the service API.
 //! * [`server`] — [`NblSatServer`]: a [`std::net::TcpListener`] accept loop;
-//!   each connection runs a reader thread plus one waiter thread per
-//!   in-flight job, so a single connection multiplexes many jobs and streams
-//!   completions out of submission order.
+//!   each connection runs one reader and one writer thread, whatever the
+//!   number of jobs in flight. Completions reach the writer through the
+//!   service's completion hooks, so a single connection multiplexes many
+//!   jobs and streams completions out of submission order.
 //! * [`client`] — [`NblSatClient`]: a blocking client whose background
 //!   reader demultiplexes the response stream into per-job mailboxes
 //!   ([`RemoteJob`] tickets), usable from many threads over one connection.

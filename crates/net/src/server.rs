@@ -1,18 +1,21 @@
 //! The `nbl-satd` TCP server: an accept loop in front of one shared
 //! [`SolveService`].
 //!
-//! Every connection gets a dedicated reader thread that parses frames off the
-//! socket and maps them 1:1 onto the service API: `SOLVE` →
-//! [`SolveService::submit_with_priority`], `CANCEL` → [`JobHandle::cancel`],
-//! `STATUS` → [`JobHandle::status`], `REFILL` → the service's budget refills,
-//! `SHUTDOWN` → a graceful drain of the whole server. Each submitted job also
-//! gets a lightweight waiter thread that blocks on [`JobHandle::wait_ref`]
-//! and streams the job's `v`/`RESULT` frames back the moment the outcome
-//! lands — so one connection multiplexes any number of in-flight jobs and
+//! Every connection gets a reader thread and a writer thread. The reader
+//! parses frames off the socket and maps them 1:1 onto the service API:
+//! `SOLVE` → [`SolveService::submit_with_priority`], `CANCEL` →
+//! [`JobHandle::cancel`], `STATUS` → [`JobHandle::status`], `REFILL` → the
+//! service's budget refills, `SHUTDOWN` → a graceful drain of the whole
+//! server. The writer owns the socket's write half and drains an ordered
+//! outbox of encoded frames. The reader enqueues its own replies there, and
+//! each job's completion hook ([`JobHandle::on_finish`]) enqueues the job's
+//! `v`/`STATS`/`RESULT` group (or `ERR`) as one entry the moment the outcome
+//! lands, on whichever thread finished the job. So one connection
+//! multiplexes any number of in-flight jobs without a thread per job,
 //! completions arrive out of submission order when a later job finishes
-//! first. All writers share one per-connection lock and write whole frames
-//! under it, so concurrent completions interleave frame-by-frame, never
-//! byte-by-byte.
+//! first, groups never interleave, and no worker or session thread ever
+//! touches a socket: a client that stops reading stalls only its own writer
+//! and, once its outbox holds more than 1 MiB, its own reader.
 //!
 //! Malformed frames are answered with `ERR - <reason>` and the connection
 //! keeps going; only a lost framing (oversized line or body declaration) or
@@ -28,8 +31,9 @@
 //! reader thread — they queue behind any in-flight solve of the same session
 //! and are acked with `SESSIONOK` carrying the new depth. `ASSUME` queues a
 //! solve like `SOLVE` does: the `QUEUED` ack assigns a job id from a
-//! dedicated high range (so one-shot ids never collide), a waiter thread
-//! streams the completion (`v`-line, failed-assumption `f`-line, `RESULT`),
+//! dedicated high range (so one-shot ids never collide), the session
+//! thread's completion hook ([`SessionHandle::start_solve`]) enqueues the
+//! completion (`v`-line, `STATS`, failed-assumption `f`-line, `RESULT`),
 //! `CANCEL` of that id raises the call's cancellation token, and `STATUS`
 //! answers `running` until the call's outcome exists. A closing
 //! connection drops its sessions, which releases each pinned solver.
@@ -37,22 +41,29 @@
 use crate::protocol::{caps_budget, Frame, SolveFrame, WireBacklog, WireVerdict};
 use cnf::{dimacs, Literal};
 use nbl_sat_core::{
-    BackendRegistry, Budget, JobHandle, JobStatus, SessionCall, SessionHandle, SolveOutcome,
-    SolveRequest, SolveService, SolveVerdict, DEFAULT_CACHE_CAPACITY,
+    BackendRegistry, Budget, JobHandle, JobStatus, NblSatError, SessionCall, SessionHandle,
+    SolveOutcome, SolveRequest, SolveService, SolveVerdict, DEFAULT_CACHE_CAPACITY,
 };
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle as ThreadHandle};
 use std::time::Duration;
 
 /// How long the accept loop backs off after a failed accept (out of file
 /// descriptors, say) before it tries again.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Bytes of encoded frames a connection's outbox may hold before its reader
+/// stops taking requests. A client that sends without reading then stalls
+/// its own connection, as a full socket buffer stalls it, instead of growing
+/// the server's memory. Completion hooks never wait on it.
+const OUTBOX_LIMIT: usize = 1 << 20;
 
 /// First job id handed to `SESSION ASSUME` solves. One-shot ids count up from
 /// 0 and session ids count up from here, so the two ranges cannot collide on
@@ -303,222 +314,252 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     }
 }
 
-/// A job id of a connection, as [`Connection::job_entry`] finds it.
+/// A job id of a connection, as [`Connection::entry`] finds it.
+#[derive(Clone)]
 enum JobEntry {
-    /// A one-shot job whose completion is not written yet.
+    /// A one-shot job whose completion is not enqueued yet.
     OneShot(Arc<JobHandle>),
-    /// A `SESSION ASSUME` job whose outcome does not exist yet, with its
+    /// A `SESSION ASSUME` job whose completion is not enqueued yet, with its
     /// cancellation flag.
     Session(Arc<AtomicBool>),
-    /// A job of either kind whose outcome exists.
+    /// A job of either kind whose completion is enqueued.
     Finished,
 }
 
-/// The per-connection state shared between the reader thread and the per-job
-/// waiter threads.
+impl JobEntry {
+    fn cancel(&self) {
+        match self {
+            JobEntry::OneShot(handle) => handle.cancel(),
+            JobEntry::Session(flag) => flag.store(true, Ordering::Relaxed),
+            JobEntry::Finished => {}
+        }
+    }
+}
+
+/// The per-connection state the reader thread and the completion hooks
+/// share. Each holder of it can enqueue frames, so the writer stops only once
+/// the reader and every pending hook let go of it.
 struct Connection {
-    writer: Mutex<BufWriter<TcpStream>>,
+    /// The writer thread's queue of encoded frames, written in order.
+    outbox: Sender<String>,
+    /// Bytes enqueued in the outbox and not yet written; shared with the
+    /// writer.
+    unsent: Arc<AtomicUsize>,
     /// Every job this connection submitted, by id; entries live until the
     /// connection closes so `STATUS`/`CANCEL` keep working after completion.
-    /// Once the completion is written the handle (and with it the outcome)
-    /// is dropped and `None` marks the job finished.
-    jobs: Mutex<HashMap<u64, Option<Arc<JobHandle>>>>,
+    /// Once the completion is enqueued, the entry keeps only the finished
+    /// marker, not the handle or the outcome.
+    jobs: Mutex<HashMap<u64, JobEntry>>,
     /// Every session this connection opened, by server-assigned id.
     sessions: Mutex<HashMap<u64, SessionHandle>>,
-    /// Cancellation flags of `SESSION ASSUME` solves, by job id; `CANCEL`
-    /// and `STATUS` fall through to this map when the id is not a one-shot
-    /// job. Once the outcome exists, `None` marks the job finished.
-    session_cancels: Mutex<HashMap<u64, Option<Arc<AtomicBool>>>>,
     /// The next `SESSION OPEN` ack's session id.
     next_session: AtomicU64,
     /// Offset above [`SESSION_JOB_BASE`] of the next `SESSION ASSUME` job id.
     next_session_job: AtomicU64,
-    /// Jobs whose completion frame has not been written yet. `SHUTDOWN`
-    /// drains this to zero before answering `BYE`, so `BYE` really is the
-    /// connection's last frame.
-    inflight: Mutex<usize>,
-    drained: Condvar,
 }
 
 impl Connection {
-    fn new(stream: TcpStream) -> Self {
+    fn new(outbox: Sender<String>) -> Self {
         Connection {
-            writer: Mutex::new(BufWriter::new(stream)),
+            outbox,
+            unsent: Arc::new(AtomicUsize::new(0)),
             jobs: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
-            session_cancels: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             next_session_job: AtomicU64::new(0),
-            inflight: Mutex::new(0),
-            drained: Condvar::new(),
         }
     }
 
-    /// Called by a waiter thread after it wrote (or failed to write) its
-    /// job's completion.
-    fn completion_written(&self) {
-        let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-        *inflight = inflight.saturating_sub(1);
-        if *inflight == 0 {
-            self.drained.notify_all();
-        }
+    fn jobs(&self) -> MutexGuard<'_, HashMap<u64, JobEntry>> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks until every submitted job's completion frame has been written.
-    fn drain_completions(&self) {
-        let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-        while *inflight > 0 {
-            inflight = self
-                .drained
-                .wait(inflight)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+    /// What `job` names on this connection; `None` for an id this connection
+    /// never issued. The map is unlocked again on return: cancelling the
+    /// entry may run the job's completion hook, which locks it.
+    fn entry(&self, job: u64) -> Option<JobEntry> {
+        self.jobs().get(&job).cloned()
     }
 
-    /// What `job` names on this connection: a one-shot job, then a session
-    /// job; `None` for an id this connection never issued.
-    fn job_entry(&self, job: u64) -> Option<JobEntry> {
-        if let Some(entry) = self
-            .jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&job)
-        {
-            return Some(entry.clone().map_or(JobEntry::Finished, JobEntry::OneShot));
-        }
-        self.session_cancels
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&job)
-            .map(|entry| entry.clone().map_or(JobEntry::Finished, JobEntry::Session))
+    /// Hands encoded frames to the writer; fails once the writer has stopped
+    /// because the client is gone.
+    fn enqueue(&self, frames: String) -> std::io::Result<()> {
+        self.unsent.fetch_add(frames.len(), Ordering::Relaxed);
+        self.outbox
+            .send(frames)
+            .map_err(|_| std::io::ErrorKind::BrokenPipe.into())
     }
 
-    /// Writes one frame atomically with respect to other writers.
     fn send(&self, frame: &Frame) -> std::io::Result<()> {
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        frame.write_to(&mut *writer)
-    }
-
-    /// Writes a job's completion: the model `v`-line (when there is one) and
-    /// the `STATS` line (when the job asked for it) immediately followed by
-    /// the `RESULT` line, under one lock so the group never interleaves with
-    /// another job's frames.
-    fn send_completion(
-        &self,
-        job: u64,
-        outcome: &SolveOutcome,
-        want_stats: bool,
-    ) -> std::io::Result<()> {
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(model) = &outcome.model {
-            let literals = model
-                .iter()
-                .map(|(var, value)| {
-                    let dimacs = (var.index() + 1) as i64;
-                    if value {
-                        dimacs
-                    } else {
-                        -dimacs
-                    }
-                })
-                .collect();
-            Frame::Model { job, literals }.write_to(&mut *writer)?;
-        }
-        if want_stats {
-            Frame::Stats {
-                job,
-                stats: outcome.stats.clone(),
-            }
-            .write_to(&mut *writer)?;
-        }
-        if let Some(core) = &outcome.failed_assumptions {
-            let literals = core.iter().map(|lit| lit.to_dimacs()).collect();
-            Frame::FailedAssumptions { job, literals }.write_to(&mut *writer)?;
-        }
-        let verdict = match outcome.verdict {
-            SolveVerdict::Satisfiable => WireVerdict::Satisfiable,
-            SolveVerdict::Unsatisfiable => WireVerdict::Unsatisfiable,
-            SolveVerdict::Unknown(cause) => WireVerdict::Unknown(cause),
-        };
-        Frame::Result { job, verdict }.write_to(&mut *writer)
+        self.enqueue(frame.encode())
     }
 
     fn send_error(&self, job: Option<u64>, message: impl Into<String>) -> std::io::Result<()> {
-        let mut message = message.into();
-        // ERR is a single-line frame; collapse anything that would break it.
-        message.retain(|c| c != '\n' && c != '\r');
-        if message.is_empty() {
-            message.push_str("error");
+        self.send(&error_frame(job, message))
+    }
+
+    /// The completion hook of `job`: marks the job finished, then enqueues
+    /// its completion group as one entry, so the group is written with one
+    /// flush and never interleaves with another job's frames. The hook runs
+    /// on whichever thread finishes the job and never touches the socket.
+    fn completion(
+        self: &Arc<Self>,
+        job: u64,
+        want_stats: bool,
+    ) -> impl FnOnce(&Result<SolveOutcome, NblSatError>) + Send + 'static {
+        let connection = Arc::clone(self);
+        move |result| {
+            // Marked before the RESULT is enqueued, so a STATUS sent after
+            // the client read it never answers `running`.
+            connection.jobs().insert(job, JobEntry::Finished);
+            let group = match result {
+                Ok(outcome) => completion_group(job, outcome, want_stats),
+                Err(error) => error_frame(Some(job), error.to_string()).encode(),
+            };
+            // A failed send means the client is gone; the reader notices
+            // the same and cleans up.
+            let _ = connection.enqueue(group);
         }
-        self.send(&Frame::Error { job, message })
+    }
+}
+
+/// A job's completion group: the model `v`-line (when there is one), the
+/// `STATS` line (when the job asked for it), the failed-assumption `f`-line
+/// (when there is one) and the `RESULT` line.
+fn completion_group(job: u64, outcome: &SolveOutcome, want_stats: bool) -> String {
+    let mut group = String::new();
+    if let Some(model) = &outcome.model {
+        let literals = model
+            .iter()
+            .map(|(var, value)| Literal::with_phase(var, value).to_dimacs())
+            .collect();
+        group.push_str(&Frame::Model { job, literals }.encode());
+    }
+    if want_stats {
+        let stats = outcome.stats.clone();
+        group.push_str(&Frame::Stats { job, stats }.encode());
+    }
+    if let Some(core) = &outcome.failed_assumptions {
+        let literals = core.iter().map(|lit| lit.to_dimacs()).collect();
+        group.push_str(&Frame::FailedAssumptions { job, literals }.encode());
+    }
+    let verdict = match outcome.verdict {
+        SolveVerdict::Satisfiable => WireVerdict::Satisfiable,
+        SolveVerdict::Unsatisfiable => WireVerdict::Unsatisfiable,
+        SolveVerdict::Unknown(cause) => WireVerdict::Unknown(cause),
+    };
+    group.push_str(&Frame::Result { job, verdict }.encode());
+    group
+}
+
+fn error_frame(job: Option<u64>, message: impl Into<String>) -> Frame {
+    let mut message = message.into();
+    // ERR is a single-line frame; collapse anything that would break it.
+    message.retain(|c| c != '\n' && c != '\r');
+    if message.is_empty() {
+        message.push_str("error");
+    }
+    Frame::Error { job, message }
+}
+
+/// The writer thread: writes the outbox's frames in order, with one flush
+/// whenever the outbox runs dry, until every sender is gone or the client
+/// stops taking bytes.
+fn write_loop(outbox: &Receiver<String>, unsent: &AtomicUsize, stream: TcpStream) {
+    let mut writer = BufWriter::new(stream);
+    while let Ok(first) = outbox.recv() {
+        for frames in std::iter::once(first).chain(outbox.try_iter()) {
+            if writer.write_all(frames.as_bytes()).is_err() {
+                return;
+            }
+            unsent.fetch_sub(frames.len(), Ordering::Relaxed);
+        }
+        if writer.flush().is_err() {
+            return;
+        }
     }
 }
 
 fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
-    let reader_stream = stream.try_clone()?;
-    let connection = Arc::new(Connection::new(stream));
-    let served = read_loop(reader_stream, &connection, shared);
-    // The client is gone (or told to go): stop spending budget on its
-    // unfinished jobs. This must run no matter how the read loop ended —
-    // a write failing on a vanished client's socket included.
-    let jobs = connection
-        .jobs
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    for handle in jobs.values().flatten() {
-        if handle.status() != JobStatus::Finished {
-            handle.cancel();
+    let write_half = stream.try_clone()?;
+    let (outbox, frames) = mpsc::channel();
+    let connection = Arc::new(Connection::new(outbox));
+    let unsent = Arc::clone(&connection.unsent);
+    let writer = thread::spawn(move || write_loop(&frames, &unsent, write_half));
+    let mut reader = BufReader::new(stream);
+    let served = read_loop(&mut reader, &connection, shared, &writer);
+    let shutdown = matches!(served, Ok(true));
+    if !shutdown {
+        // The client is gone (or lost framing): stop spending budget on its
+        // unfinished jobs. This must run no matter how the read loop ended,
+        // the writer failing on a vanished client's socket included. After
+        // SHUTDOWN they drain instead.
+        let unfinished: Vec<JobEntry> = connection.jobs().values().cloned().collect();
+        for entry in unfinished {
+            entry.cancel();
         }
     }
-    drop(jobs);
-    // Same for sessions: raise every in-flight ASSUME's cancel flag, then
-    // drop the handles without joining — the pinned solver threads notice
-    // the disconnect and release themselves.
-    for flag in connection
-        .session_cancels
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .values()
-        .flatten()
-    {
-        flag.store(true, Ordering::Relaxed);
-    }
+    // Dropping the sessions lets each pinned solver thread release itself
+    // once it has answered its queued calls.
     connection
         .sessions
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clear();
-    served
+    drop(connection);
+    // The writer stops once every completion hook has run and its group is
+    // written, so after SHUTDOWN, BYE really is the connection's last frame.
+    let _ = writer.join();
+    if shutdown {
+        say_bye(shared, reader.get_mut())?;
+    }
+    served.map(drop)
 }
 
+/// Answers `SHUTDOWN` once the connection's completions are written. The
+/// stop flag is raised before BYE so that a client observing the ack also
+/// observes the server stopping. `wait()` is woken only after BYE is
+/// written: `nbl-satd` exits as soon as it returns, and must not exit with
+/// BYE unsent.
+fn say_bye(shared: &ServerShared, out: &mut impl Write) -> std::io::Result<()> {
+    shared.stop.store(true, Ordering::Relaxed);
+    let sent = Frame::Bye.write_to(out);
+    shared.notify_stopped();
+    sent
+}
+
+/// Reads and dispatches frames until the client leaves or framing is lost
+/// (`Ok(false)`), or `SHUTDOWN` arrives (`Ok(true)`).
 fn read_loop(
-    reader_stream: TcpStream,
+    reader: &mut BufReader<TcpStream>,
     connection: &Arc<Connection>,
     shared: &Arc<ServerShared>,
-) -> std::io::Result<()> {
-    let mut reader = BufReader::new(reader_stream);
+    writer: &ThreadHandle<()>,
+) -> std::io::Result<bool> {
     loop {
-        match Frame::read_from(&mut reader) {
-            Ok(None) => return Ok(()),
+        while connection.unsent.load(Ordering::Relaxed) > OUTBOX_LIMIT && !writer.is_finished() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        match Frame::read_from(reader) {
+            Ok(None) => return Ok(false),
             Ok(Some(frame)) => {
                 if !handle_frame(frame, connection, shared)? {
-                    return Ok(());
+                    return Ok(true);
                 }
             }
             Err(error) => {
                 let recoverable = error.is_recoverable();
                 connection.send_error(None, error.to_string())?;
                 if !recoverable {
-                    return Ok(());
+                    return Ok(false);
                 }
             }
         }
     }
 }
 
-/// Dispatches one parsed frame. Returns `false` when the connection should
-/// close (after `SHUTDOWN`).
+/// Dispatches one parsed frame. Returns `false` on `SHUTDOWN`.
 fn handle_frame(
     frame: Frame,
     connection: &Arc<Connection>,
@@ -526,14 +567,12 @@ fn handle_frame(
 ) -> std::io::Result<bool> {
     match frame {
         Frame::Solve(solve) => handle_solve(solve, connection, shared)?,
-        Frame::Cancel { job } => match connection.job_entry(job) {
-            Some(JobEntry::OneShot(handle)) => handle.cancel(),
-            Some(JobEntry::Session(flag)) => flag.store(true, Ordering::Relaxed),
-            // Finished: nothing left to cancel.
-            Some(JobEntry::Finished) => {}
+        Frame::Cancel { job } => match connection.entry(job) {
+            // Cancelling a finished job is a no-op.
+            Some(entry) => entry.cancel(),
             None => connection.send_error(Some(job), format!("unknown job {job}"))?,
         },
-        Frame::Status { job } => match connection.job_entry(job) {
+        Frame::Status { job } => match connection.entry(job) {
             Some(entry) => {
                 let status = match entry {
                     JobEntry::OneShot(handle) => handle.status(),
@@ -596,7 +635,7 @@ fn handle_frame(
             match handle {
                 // `close` joins the pinned solver thread, so the ack really
                 // means the solver is gone. An in-flight ASSUME of the same
-                // session finishes (and streams its completion) first.
+                // session finishes (and enqueues its completion) first.
                 Some(handle) => {
                     handle.close();
                     connection.send(&Frame::SessionOk { session, depth: 0 })?;
@@ -604,20 +643,10 @@ fn handle_frame(
                 None => connection.send_error(None, format!("unknown session {session}"))?,
             }
         }
-        Frame::Shutdown => {
-            // Graceful drain: every job this connection already submitted
-            // still streams its completion, then BYE closes the exchange.
-            // The stop flag is raised before BYE so that a client observing
-            // the ack also observes the server stopping. `wait()` is woken
-            // only after BYE is written: `nbl-satd` exits as soon as it
-            // returns, and must not exit with BYE unsent.
-            connection.drain_completions();
-            shared.stop.store(true, Ordering::Relaxed);
-            let sent = connection.send(&Frame::Bye);
-            shared.notify_stopped();
-            sent?;
-            return Ok(false);
-        }
+        // Graceful drain: every job this connection already submitted still
+        // streams its completion, then BYE closes the exchange (see
+        // `serve_connection`).
+        Frame::Shutdown => return Ok(false),
         // Server-side verbs arriving at the server are grammar-valid but
         // direction-invalid; answer ERR like any other bad frame.
         Frame::Queued { .. }
@@ -660,39 +689,14 @@ fn handle_solve(
         solve.priority,
     ));
     let job = handle.id();
-    let want_stats = solve.stats;
     connection
-        .jobs
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(job, Some(Arc::clone(&handle)));
-    *connection
-        .inflight
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) += 1;
+        .jobs()
+        .insert(job, JobEntry::OneShot(Arc::clone(&handle)));
     connection.send(&Frame::Queued { job })?;
-    // One waiter thread per in-flight job streams the completion back the
-    // moment it lands, independently of submission order.
-    let connection = Arc::clone(connection);
-    thread::spawn(move || {
-        let result = handle.wait_ref();
-        let written = match &result {
-            Ok(outcome) => connection.send_completion(job, outcome, want_stats),
-            Err(error) => connection.send_error(Some(job), error.to_string()),
-        };
-        // A send failing means the client is gone; the reader thread notices
-        // the same condition and cleans up, nothing to do here.
-        let _ = written;
-        // Keep only the finished marker: the outcome is on the wire, and
-        // holding it until the connection closes would grow memory with
-        // every job the client ever sent.
-        connection
-            .jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(job, None);
-        connection.completion_written();
-    });
+    // Registered only now, after QUEUED is enqueued, so the completion
+    // cannot overtake its ack. A job that already finished runs the hook
+    // right here.
+    handle.on_finish(connection.completion(job, solve.stats));
     Ok(())
 }
 
@@ -793,48 +797,20 @@ fn handle_session_assume(
         drop(sessions);
         return connection.send_error(None, format!("unknown session {session}"));
     };
-    // `start_solve` only enqueues, so the reader thread stays responsive
-    // even while the pinned solver is busy; the waiter thread below blocks.
-    let solve = match handle.start_solve(&call) {
-        Ok(solve) => solve,
-        Err(e) => {
-            drop(sessions);
-            return connection.send_error(None, e.to_string());
-        }
-    };
-    drop(sessions);
-    let job = SESSION_JOB_BASE + connection.next_session_job.fetch_add(1, Ordering::Relaxed);
-    connection
-        .session_cancels
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(job, Some(cancel));
-    *connection
-        .inflight
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) += 1;
-    connection.send(&Frame::Queued { job })?;
-    let connection = Arc::clone(connection);
-    thread::spawn(move || {
-        let result = solve.wait();
-        // Mark the job finished as soon as its outcome exists, as a one-shot
-        // job's handle does, so a STATUS sent after the RESULT arrived never
-        // reads `running`.
-        connection
-            .session_cancels
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(job, None);
-        let written = match &result {
-            // Session solves always report stats: incremental clients (the
-            // shard coordinator in particular) merge them fleet-wide.
-            Ok(outcome) => connection.send_completion(job, outcome, true),
-            Err(error) => connection.send_error(Some(job), error.to_string()),
-        };
-        let _ = written;
-        connection.completion_written();
-    });
-    Ok(())
+    // `start_solve` only enqueues, so the reader thread stays responsive even
+    // while the pinned solver is busy. The session thread may answer before
+    // QUEUED is enqueued, but its hook first takes the job map, which is
+    // held here until the ack is enqueued: the completion cannot overtake it.
+    let mut jobs = connection.jobs();
+    let job = SESSION_JOB_BASE + connection.next_session_job.load(Ordering::Relaxed);
+    // Session solves always report stats: incremental clients (the shard
+    // coordinator in particular) merge them fleet-wide.
+    if let Err(e) = handle.start_solve(&call, connection.completion(job, true)) {
+        return connection.send_error(None, e.to_string());
+    }
+    connection.next_session_job.fetch_add(1, Ordering::Relaxed);
+    jobs.insert(job, JobEntry::Session(cancel));
+    connection.send(&Frame::Queued { job })
 }
 
 /// The service's live queue gauges, for `INFO` answers.
@@ -857,29 +833,63 @@ pub(crate) fn shutdown_stream(stream: &TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbl_sat_core::SatBackend;
 
-    #[test]
-    fn finished_jobs_keep_only_a_marker() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let connection = Arc::new(Connection::new(listener.accept().unwrap().0));
-        let shared = Arc::new(ServerShared {
-            service: SolveService::builder(&BackendRegistry::default())
-                .workers(1)
-                .start(),
+    /// Server state with a one-worker service and no accept loop.
+    fn shared(registry: &BackendRegistry) -> Arc<ServerShared> {
+        Arc::new(ServerShared {
+            service: SolveService::builder(registry).workers(1).start(),
             stop: AtomicBool::new(false),
             stopped: Condvar::new(),
             stopped_lock: Mutex::new(false),
-        });
+        })
+    }
+
+    /// A connected loopback pair: (client end, server end).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (client, listener.accept().unwrap().0)
+    }
+
+    fn read_frame(reader: &mut BufReader<TcpStream>) -> Option<Frame> {
+        Frame::read_from(reader).unwrap()
+    }
+
+    /// Waits at most `timeout` for `wait()` to be woken; answers whether it
+    /// was.
+    fn woken_within(shared: &ServerShared, timeout: Duration) -> bool {
+        let stopped = shared.stopped_lock.lock().unwrap();
+        let (stopped, _) = shared
+            .stopped
+            .wait_timeout_while(stopped, timeout, |stopped| !*stopped)
+            .unwrap();
+        *stopped
+    }
+
+    #[test]
+    fn finished_jobs_keep_only_a_marker() {
+        let (client, server_end) = socket_pair();
+        let (outbox, frames) = mpsc::channel();
+        let connection = Arc::new(Connection::new(outbox));
+        let unsent = Arc::clone(&connection.unsent);
+        thread::spawn(move || write_loop(&frames, &unsent, server_end));
+        let shared = shared(&BackendRegistry::default());
         let solve = SolveFrame::new("cdcl", "p cnf 2 2\n1 2 0\n-1 -2 0\n");
         for _ in 0..3 {
             handle_solve(solve.clone(), &connection, &shared).unwrap();
         }
-        connection.drain_completions();
-        let jobs = connection.jobs.lock().unwrap();
+        // Three QUEUED acks plus a `v`-line and RESULT per job. A job's
+        // entry becomes the marker before its RESULT is enqueued.
+        let mut reader = BufReader::new(client);
+        for _ in 0..9 {
+            read_frame(&mut reader).unwrap();
+        }
+        let jobs = connection.jobs();
         assert_eq!(jobs.len(), 3);
         assert!(
-            jobs.values().all(Option::is_none),
+            jobs.values()
+                .all(|entry| matches!(entry, JobEntry::Finished)),
             "a finished job still holds its handle"
         );
         drop(jobs);
@@ -893,72 +903,136 @@ mod tests {
         ] {
             assert!(handle_frame(frame, &connection, &shared).unwrap());
         }
-        let mut reader = BufReader::new(client);
-        let mut frames = Vec::new();
-        while frames.len() < 11 {
-            frames.push(Frame::read_from(&mut reader).unwrap().unwrap());
-        }
-        // Three QUEUED acks plus a `v`-line and RESULT per job come first.
         assert!(matches!(
-            frames[9],
-            Frame::Info {
+            read_frame(&mut reader),
+            Some(Frame::Info {
                 job: 0,
                 status: JobStatus::Finished,
                 ..
-            }
+            })
         ));
-        assert!(matches!(frames[10], Frame::Error { job: Some(3), .. }));
+        assert!(matches!(
+            read_frame(&mut reader),
+            Some(Frame::Error { job: Some(3), .. })
+        ));
         shared.service.shutdown();
+    }
+
+    /// A sink whose writes block until its gate opens.
+    struct GatedSink {
+        gate: Arc<AtomicBool>,
+        written: Vec<u8>,
+    }
+
+    impl Write for GatedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            while !self.gate.load(Ordering::Relaxed) {
+                thread::yield_now();
+            }
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
     fn shutdown_wakes_wait_only_after_bye_is_written() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let connection = Arc::new(Connection::new(listener.accept().unwrap().0));
-        let shared = Arc::new(ServerShared {
-            service: SolveService::builder(&BackendRegistry::default())
-                .workers(1)
-                .start(),
-            stop: AtomicBool::new(false),
-            stopped: Condvar::new(),
-            stopped_lock: Mutex::new(false),
-        });
-        // Holding the writer lock keeps BYE from being written.
-        let writer = connection.writer.lock().unwrap();
-        let handler = {
-            let (connection, shared) = (Arc::clone(&connection), Arc::clone(&shared));
-            thread::spawn(move || handle_frame(Frame::Shutdown, &connection, &shared))
+        let shared = shared(&BackendRegistry::default());
+        let gate = Arc::new(AtomicBool::new(false));
+        let bye = {
+            let shared = Arc::clone(&shared);
+            let mut sink = GatedSink {
+                gate: Arc::clone(&gate),
+                written: Vec::new(),
+            };
+            thread::spawn(move || {
+                say_bye(&shared, &mut sink).unwrap();
+                sink.written
+            })
         };
         while !shared.stop.load(Ordering::Relaxed) {
             thread::yield_now();
         }
         // The stop flag is up, but `wait()` must not wake while BYE is unsent.
-        let stopped = shared.stopped_lock.lock().unwrap();
-        let (stopped, _) = shared
-            .stopped
-            .wait_timeout_while(stopped, Duration::from_millis(200), |stopped| !*stopped)
-            .unwrap();
-        assert!(!*stopped, "wait() woke before BYE was written");
-        drop(stopped);
-
-        drop(writer);
-        let stopped = shared.stopped_lock.lock().unwrap();
-        let (stopped, _) = shared
-            .stopped
-            .wait_timeout_while(stopped, Duration::from_secs(30), |stopped| !*stopped)
-            .unwrap();
-        assert!(*stopped, "wait() never woke after BYE");
-        drop(stopped);
         assert!(
-            !handler.join().unwrap().unwrap(),
-            "SHUTDOWN keeps the connection open"
+            !woken_within(&shared, Duration::from_millis(200)),
+            "wait() woke before BYE was written"
         );
-        client
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
+        gate.store(true, Ordering::Relaxed);
+        assert!(
+            woken_within(&shared, Duration::from_secs(30)),
+            "wait() never woke after BYE"
+        );
+        assert_eq!(bye.join().unwrap(), b"BYE\n");
+        shared.service.shutdown();
+    }
+
+    /// Answers SAT once its gate opens, or `Unknown(Cancelled)` when
+    /// cancelled first.
+    #[derive(Debug)]
+    struct Gated(Arc<AtomicBool>);
+
+    impl SatBackend for Gated {
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+        fn is_complete(&self) -> bool {
+            true
+        }
+        fn solve(&mut self, request: &SolveRequest<'_>) -> Result<SolveOutcome, NblSatError> {
+            while !self.0.load(Ordering::Relaxed) {
+                if request.cancelled() {
+                    let cancelled = nbl_sat_core::UnknownCause::Cancelled;
+                    return Ok(SolveOutcome::of_verdict(SolveVerdict::Unknown(cancelled)));
+                }
+                thread::yield_now();
+            }
+            Ok(SolveOutcome::of_verdict(SolveVerdict::Satisfiable))
+        }
+    }
+
+    #[test]
+    fn shutdown_drains_completions_then_writes_bye_last() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let mut registry = BackendRegistry::default();
+        {
+            let gate = Arc::clone(&gate);
+            registry.register("gated", move || Box::new(Gated(Arc::clone(&gate))));
+        }
+        let shared = shared(&registry);
+        let (client, server_end) = socket_pair();
+        let served = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || serve_connection(server_end, &shared))
+        };
+        let solve = SolveFrame::new("gated", "p cnf 2 2\n1 2 0\n-1 -2 0\n");
+        let mut requests = client.try_clone().unwrap();
+        Frame::Solve(solve).write_to(&mut requests).unwrap();
+        Frame::Shutdown.write_to(&mut requests).unwrap();
         let mut reader = BufReader::new(client);
-        assert_eq!(Frame::read_from(&mut reader).unwrap(), Some(Frame::Bye));
+        assert_eq!(read_frame(&mut reader), Some(Frame::Queued { job: 0 }));
+
+        // The job in flight holds the drain, and with it BYE and the stop
+        // flag.
+        assert!(!woken_within(&shared, Duration::from_millis(200)));
+        assert!(!shared.stop.load(Ordering::Relaxed));
+        gate.store(true, Ordering::Relaxed);
+        assert_eq!(
+            read_frame(&mut reader),
+            Some(Frame::Result {
+                job: 0,
+                verdict: WireVerdict::Satisfiable
+            })
+        );
+        assert_eq!(read_frame(&mut reader), Some(Frame::Bye));
+        // BYE is the last frame: the connection closes after it.
+        assert_eq!(read_frame(&mut reader), None);
+        served.join().unwrap().unwrap();
+        assert!(shared.stop.load(Ordering::Relaxed));
+        assert!(woken_within(&shared, Duration::ZERO));
         shared.service.shutdown();
     }
 

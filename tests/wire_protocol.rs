@@ -9,6 +9,7 @@
 //! exhaust and refill over the wire; `SHUTDOWN` drains.
 
 use nbl_sat_repro::prelude::*;
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use nbl_sat_repro::net::{ServerConfig, WireArtifacts};
+use nbl_sat_repro::net::{Frame, ServerConfig, WireArtifacts};
 
 /// Binds a default-config server on an ephemeral loopback port.
 fn start_server(config: ServerConfig) -> NblSatServer {
@@ -646,5 +647,184 @@ fn cache_metrics_and_backlog_over_the_wire() {
     assert_eq!(metrics.queue_depth, 0, "both jobs drained");
     let dispatched: u64 = metrics.backends.iter().map(|b| b.count).sum();
     assert_eq!(dispatched, 1, "the cache hit must not dispatch a backend");
+    server.stop();
+}
+
+/// The job a server-side frame belongs to, and whether it ends the job.
+fn job_of(frame: &Frame) -> Option<(u64, bool)> {
+    match frame {
+        Frame::Model { job, .. }
+        | Frame::Stats { job, .. }
+        | Frame::FailedAssumptions { job, .. } => Some((*job, false)),
+        Frame::Result { job, .. } => Some((*job, true)),
+        Frame::Error { job: Some(job), .. } => Some((*job, true)),
+        _ => None,
+    }
+}
+
+#[test]
+fn queued_precedes_every_frame_of_its_job() {
+    // The fastest completions there are, pipelined on one connection, so a
+    // completion has every chance to overtake its QUEUED ack.
+    const EACH: usize = 200;
+    let server = start_server(ServerConfig::new().workers(2));
+    let stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut requests = stream;
+    requests
+        .write_all(b"SESSION OPEN backend=cdcl\nSESSION ADDCLAUSES 1 body-lines=1\n1 2 0\n")
+        .unwrap();
+    assert_eq!(read_line(&mut reader), "SESSIONOK 1 depth=0");
+    assert_eq!(read_line(&mut reader), "SESSIONOK 1 depth=1");
+    // Irreducible under preprocessing; solved once, so that later copies
+    // are answered from the cache.
+    let cached = "p cnf 2 3\n1 2 0\n-1 -2 0\n1 -2 0\n";
+    let mut first = SolveFrame::new("cdcl", cached);
+    first.stats = true;
+    requests
+        .write_all(Frame::Solve(first.clone()).encode().as_bytes())
+        .unwrap();
+    assert_eq!(read_line(&mut reader), "QUEUED 0");
+    while !read_line(&mut reader).starts_with("RESULT 0 ") {}
+
+    let mut batch = String::new();
+    for i in 0..EACH {
+        // Answered by preprocessing: two unit clauses.
+        let mut units = SolveFrame::new("cdcl", &format!("p cnf 3 2\n1 0\n-{} 0\n", 2 + i % 2));
+        units.stats = true;
+        batch.push_str(&Frame::Solve(units).encode());
+        // Answered by the cache.
+        batch.push_str(&Frame::Solve(first.clone()).encode());
+        // The idle session answers SAT (a v-line) or UNSAT (an f-line).
+        batch.push_str(if i % 2 == 0 {
+            "SESSION ASSUME 1 lits=1\n"
+        } else {
+            "SESSION ASSUME 1 lits=-1,-2\n"
+        });
+        // A job-scoped ERR: the backend does not exist, and the formula is
+        // neither preprocessed away nor cached.
+        let uncached = "p cnf 2 2\n1 2 0\n-1 -2 0\n";
+        batch.push_str(&Frame::Solve(SolveFrame::new("no-such-backend", uncached)).encode());
+    }
+    let writer = thread::spawn(move || requests.write_all(batch.as_bytes()));
+
+    let jobs = 4 * EACH;
+    let mut queued = HashSet::new();
+    let mut done = HashSet::new();
+    let mut kinds = HashSet::new();
+    while done.len() < jobs {
+        let frame = Frame::read_from(&mut reader).expect("frame").expect("open");
+        if let Frame::Queued { job } = frame {
+            assert!(queued.insert(job), "QUEUED {job} twice");
+            continue;
+        }
+        let (job, ends) = job_of(&frame).unwrap_or_else(|| panic!("unexpected {frame:?}"));
+        assert!(queued.contains(&job), "{frame:?} came before QUEUED {job}");
+        assert!(!done.contains(&job), "{frame:?} came after the job ended");
+        kinds.insert(std::mem::discriminant(&frame));
+        if ends {
+            done.insert(job);
+        }
+    }
+    writer.join().unwrap().unwrap();
+    assert_eq!(queued.len(), jobs);
+    assert_eq!(
+        kinds.len(),
+        5,
+        "v, STATS, f, RESULT and ERR frames all seen"
+    );
+    let metrics = server.service().metrics_snapshot();
+    assert!(metrics.cache_hits >= EACH as u64, "{metrics:?}");
+    server.stop();
+}
+
+#[test]
+fn a_client_that_never_reads_does_not_delay_other_connections() {
+    const BIG: u64 = 256;
+    // One worker: a worker blocked on a socket would hold up every job.
+    let server = start_server(ServerConfig::new().workers(1));
+    // Preprocessing answers an empty formula over 8 000 variables with a
+    // v-line of about 47 KB; 256 of them are 12 MB, more than the loopback
+    // socket buffers hold, so this connection's writer blocks.
+    let mut idle = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let big = Frame::Solve(SolveFrame::new("cdcl", "p cnf 8000 0\n")).encode();
+    for _ in 0..BIG {
+        idle.write_all(big.as_bytes()).unwrap();
+    }
+    // Let the service answer as many of them as it will.
+    let solved = || server.service().metrics_snapshot().pre_solved;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut last = (solved(), Instant::now());
+    while last.0 < BIG && last.1.elapsed() < Duration::from_secs(1) {
+        assert!(Instant::now() < deadline, "the server never settled");
+        thread::sleep(Duration::from_millis(20));
+        if solved() != last.0 {
+            last = (solved(), Instant::now());
+        }
+    }
+
+    let client = NblSatClient::connect_with_config(
+        server.local_addr(),
+        ClientConfig::new().with_read_timeout(Duration::from_secs(30)),
+    )
+    .expect("connect");
+    let hard = cnf::generators::section4_unsat_instance();
+    let outcome = client
+        .submit(SolveFrame::new("cdcl", &cnf::dimacs::to_string(&hard)))
+        .expect("submit")
+        .wait()
+        .expect("the other connection's SOLVE was held up");
+    assert!(outcome.verdict.is_unsat());
+    drop(idle);
+    server.stop();
+}
+
+#[test]
+fn a_client_that_never_reads_stops_being_read() {
+    // Sixteen megabytes of PINGs, more than the loopback socket buffers
+    // hold: a server that read them all would queue sixteen megabytes of
+    // PONGs for a client that takes none.
+    const CAP: usize = 16 << 20;
+    let server = start_server(ServerConfig::new().workers(1));
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream
+        .set_write_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let ping = b"PING\n";
+    let batch = ping.repeat(4096);
+    let mut sent = 0;
+    while sent < CAP {
+        match stream.write(&batch[sent % batch.len()..]) {
+            Ok(n) => sent += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break
+            }
+            Err(e) => panic!("write: {e}"),
+        }
+    }
+    assert!(
+        sent < CAP,
+        "the server kept reading from a client that reads nothing"
+    );
+
+    // Reading resumes the connection, and no request is lost: a PONG for
+    // every PING, the one the stall cut short included, then one for a
+    // last PING.
+    let pings = sent.div_ceil(ping.len()) + 1;
+    let drain = {
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        thread::spawn(move || (0..pings).all(|_| read_line(&mut reader) == "PONG"))
+    };
+    let cut = sent % ping.len();
+    if cut > 0 {
+        stream.write_all(&ping[cut..]).unwrap();
+    }
+    stream.write_all(ping).unwrap();
+    assert!(drain.join().unwrap(), "a reply other than PONG");
     server.stop();
 }
